@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace kplex {
@@ -131,11 +132,48 @@ std::vector<Request> Corpus() {
   probe.query.seed_end = 0;
   add(probe);
 
+  MineRequest open_range;  // open upper bound ("end") + max-only filter
+  open_range.query.graph = "web";
+  open_range.query.k = 2;
+  open_range.query.q = 12;
+  open_range.query.seed_begin = 100;
+  open_range.query.filter_max_size = 20;
+  open_range.query.algo = QueryAlgo::kOursP;
+  open_range.query.threads = 2;
+  add(open_range, 17);
+
+  add(PlanRequest{"web", 2, 12, false});
+  add(PlanRequest{"web", 3, 9, true}, 18);
+
+  ShardSubmitRequest shard_submit;  // the async work-stealing shard
+  shard_submit.query.graph = "web";
+  shard_submit.query.k = 2;
+  shard_submit.query.q = 12;
+  shard_submit.query.seed_begin = 40;
+  shard_submit.query.seed_end = 80;
+  shard_submit.query.use_cache = false;
+  shard_submit.expected_hash = 0x00000000c0ffee00ULL;
+  add(shard_submit, 19);
+
+  ShardSubmitRequest shard_submit_unchecked;  // no admission hash
+  shard_submit_unchecked.query.graph = "g";
+  shard_submit_unchecked.query.k = 1;
+  shard_submit_unchecked.query.q = 3;
+  add(shard_submit_unchecked);
+
+  add(ShardWaitRequest{4}, 20);
+  add(ShardStopRequest{4});
+  add(RegisterRequest{"127.0.0.1:7401"}, 22);
+  add(HeartbeatRequest{3});
+  add(DrainRequest{3}, 23);
+  add(WorkersRequest{});
   add(CancelRequest{17});
   add(JobsRequest{});
   add(WaitRequest{});
   add(WaitRequest{uint64_t{12}}, 3);
   add(StatsRequest{});
+  add(MetricsRequest{});
+  add(MetricsRequest{"prom"}, 24);
   add(EvictRequest{"web"});
   add(StoreRequest{});
   StoreRequest evict_store;  // v6: `store evict`
@@ -144,6 +182,149 @@ std::vector<Request> Corpus() {
   add(HelpRequest{});
   add(QuitRequest{});
   return corpus;
+}
+
+TEST(ProtocolCorpus, CoversEveryRequestPayload) {
+  std::vector<bool> seen(std::variant_size_v<RequestPayload>, false);
+  for (const Request& request : Corpus()) seen[request.payload.index()] = true;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i]) << "no corpus entry for RequestPayload index " << i;
+  }
+}
+
+/// Wire bytes of every corpus entry, index-aligned with Corpus(): the
+/// text line and the framed line. Round trips only prove format and
+/// parse agree with each other; these pin the bytes themselves (field
+/// order, defaults left out, number spelling).
+const std::vector<std::pair<std::string, std::string>>& WireGoldens() {
+  static const std::vector<std::pair<std::string, std::string>> goldens = {
+      {"hello proto=6",
+       "{\"cmd\":\"hello\",\"proto\":6}"},
+      {"hello proto=3 mode=framed",
+       "{\"id\":11,\"cmd\":\"hello\",\"proto\":3,\"mode\":\"framed\"}"},
+      {"hello proto=1 mode=text",
+       "{\"cmd\":\"hello\",\"proto\":1,\"mode\":\"text\"}"},
+      {"load web /data/web.kpx",
+       "{\"id\":42,\"cmd\":\"load\",\"name\":\"web\","
+       "\"path\":\"/data/web.kpx\"}"},
+      {"dataset kc karate",
+       "{\"cmd\":\"dataset\",\"name\":\"kc\",\"key\":\"karate\"}"},
+      {"snapshot web /tmp/web.kpx",
+       "{\"cmd\":\"snapshot\",\"name\":\"web\",\"path\":\"/tmp/web.kpx\"}"},
+      {"snapshot web /tmp/web.kpx precompute",
+       "{\"cmd\":\"snapshot\",\"name\":\"web\",\"path\":\"/tmp/web.kpx\","
+       "\"precompute\":true}"},
+      {"snapshot web /tmp/web.kpx levels=4,8,10",
+       "{\"id\":7,\"cmd\":\"snapshot\",\"name\":\"web\","
+       "\"path\":\"/tmp/web.kpx\",\"precompute\":true,\"levels\":[4,8,10]}"},
+      {"mine web 2 12",
+       "{\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12}"},
+      {"mine web 3 9 algo=listplex threads=8 max-results=1000 "
+       "time-limit=2.5 tau-ms=0.25 ctcp=on cache=off",
+       "{\"id\":99,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":3,\"q\":9,"
+       "\"algo\":\"listplex\",\"threads\":8,\"max_results\":1000,"
+       "\"time_limit\":2.5,\"tau_ms\":0.25,\"ctcp\":true,\"cache\":false}"},
+      {"submit g 1 4 algo=fp",
+       "{\"id\":5,\"cmd\":\"submit\",\"graph\":\"g\",\"k\":1,\"q\":4,"
+       "\"algo\":\"fp\"}"},
+      {"mine web 2 12 seed-range=100:250",
+       "{\"id\":6,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"seed_begin\":100,\"seed_end\":250}"},
+      {"mineshard web 2 12 threads=4 seed-range=0:1000 "
+       "hash=0xbe7c0cfa5f1eee74",
+       "{\"id\":21,\"cmd\":\"mineshard\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"threads\":4,\"seed_begin\":0,\"seed_end\":1000,"
+       "\"hash\":\"0xbe7c0cfa5f1eee74\"}"},
+      {"mine web 2 12 max-results=50 results=stream chunk=7 filter=size>=13,"
+       "size<=20 contain=33",
+       "{\"id\":12,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"max_results\":50,\"results\":\"stream\",\"chunk\":7,"
+       "\"min_size\":13,\"max_size\":20,\"contain\":33}"},
+      {"mine web 2 12 results=stream top=5",
+       "{\"id\":13,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"results\":\"stream\",\"top\":5}"},
+      {"mine web 3 2 results=stream mode=maximum",
+       "{\"id\":14,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":3,\"q\":2,"
+       "\"results\":\"stream\",\"mode\":\"maximum\"}"},
+      {"mine web 2 12 max-results=7 results=stream cursor=17:4",
+       "{\"id\":15,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"max_results\":7,\"results\":\"stream\",\"cursor\":\"17:4\"}"},
+      {"mineshard web 2 12 seed-range=0:0",
+       "{\"cmd\":\"mineshard\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"seed_begin\":0,\"seed_end\":0}"},
+      {"mine web 2 12 algo=ours_p threads=2 seed-range=100:end "
+       "filter=size<=20",
+       "{\"id\":17,\"cmd\":\"mine\",\"graph\":\"web\",\"k\":2,\"q\":12,"
+       "\"algo\":\"ours_p\",\"threads\":2,\"seed_begin\":100,"
+       "\"seed_end\":4294967295,\"max_size\":20}"},
+      {"plan web 2 12",
+       "{\"cmd\":\"plan\",\"graph\":\"web\",\"k\":2,\"q\":12}"},
+      {"plan web 3 9 ctcp",
+       "{\"id\":18,\"cmd\":\"plan\",\"graph\":\"web\",\"k\":3,\"q\":9,"
+       "\"ctcp\":true}"},
+      {"shardsubmit web 2 12 cache=off seed-range=40:80 "
+       "hash=0x00000000c0ffee00",
+       "{\"id\":19,\"cmd\":\"shardsubmit\",\"graph\":\"web\",\"k\":2,"
+       "\"q\":12,\"cache\":false,\"seed_begin\":40,\"seed_end\":80,"
+       "\"hash\":\"0x00000000c0ffee00\"}"},
+      {"shardsubmit g 1 3",
+       "{\"cmd\":\"shardsubmit\",\"graph\":\"g\",\"k\":1,\"q\":3}"},
+      {"shardwait 4",
+       "{\"id\":20,\"cmd\":\"shardwait\",\"job\":4}"},
+      {"shardstop 4",
+       "{\"cmd\":\"shardstop\",\"job\":4}"},
+      {"register 127.0.0.1:7401",
+       "{\"id\":22,\"cmd\":\"register\",\"endpoint\":\"127.0.0.1:7401\"}"},
+      {"heartbeat 3",
+       "{\"cmd\":\"heartbeat\",\"worker\":3}"},
+      {"drain 3",
+       "{\"id\":23,\"cmd\":\"drain\",\"worker\":3}"},
+      {"workers",
+       "{\"cmd\":\"workers\"}"},
+      {"cancel 17",
+       "{\"cmd\":\"cancel\",\"job\":17}"},
+      {"jobs",
+       "{\"cmd\":\"jobs\"}"},
+      {"wait",
+       "{\"cmd\":\"wait\"}"},
+      {"wait 12",
+       "{\"id\":3,\"cmd\":\"wait\",\"job\":12}"},
+      {"stats",
+       "{\"cmd\":\"stats\"}"},
+      {"metrics",
+       "{\"cmd\":\"metrics\"}"},
+      {"metrics format=prom",
+       "{\"id\":24,\"cmd\":\"metrics\",\"format\":\"prom\"}"},
+      {"evict web",
+       "{\"cmd\":\"evict\",\"name\":\"web\"}"},
+      {"store",
+       "{\"cmd\":\"store\"}"},
+      {"store evict",
+       "{\"id\":16,\"cmd\":\"store\",\"evict\":true}"},
+      {"help",
+       "{\"cmd\":\"help\"}"},
+      {"quit",
+       "{\"cmd\":\"quit\"}"},
+  };
+  return goldens;
+}
+
+TEST(ProtocolText, FormatMatchesWireGoldens) {
+  const std::vector<Request> corpus = Corpus();
+  ASSERT_EQ(corpus.size(), WireGoldens().size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(FormatTextRequest(corpus[i]), WireGoldens()[i].first)
+        << "corpus entry " << i;
+  }
+}
+
+TEST(ProtocolFramed, FormatMatchesWireGoldens) {
+  const std::vector<Request> corpus = Corpus();
+  ASSERT_EQ(corpus.size(), WireGoldens().size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(FormatFramedRequest(corpus[i]), WireGoldens()[i].second)
+        << "corpus entry " << i;
+  }
 }
 
 TEST(ProtocolText, EveryRequestRoundTrips) {
@@ -236,6 +417,25 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
        "cursor must be SEED:ORDINAL (the resume token a truncated run "
        "returned), got '7'"},
       {"mine g 2 5 cursor=a:3", "malformed value for cursor: 'a'"},
+      {"plan g 2", "usage: plan NAME K Q [ctcp]"},
+      {"plan g 2 5 bogus", "usage: plan NAME K Q [ctcp]"},
+      {"plan g 2 5 ctcp extra", "usage: plan NAME K Q [ctcp]"},
+      {"plan g x 5", "malformed value for K: 'x'"},
+      {"shardwait", "usage: shardwait ID"},
+      {"shardwait 1 2", "usage: shardwait ID"},
+      {"shardwait x", "malformed value for ID: 'x'"},
+      {"shardstop", "usage: shardstop ID"},
+      {"register", "usage: register HOST:PORT"},
+      {"register a:1 b:2", "usage: register HOST:PORT"},
+      {"heartbeat", "usage: heartbeat ID"},
+      {"heartbeat -3", "malformed value for ID: '-3'"},
+      {"drain", "usage: drain ID"},
+      {"drain 1 2", "usage: drain ID"},
+      {"metrics bogus", "usage: metrics [format=table|prom]"},
+      {"metrics format", "usage: metrics [format=table|prom]"},
+      {"shardsubmit g 2 5 hash=0xq", "malformed value for hash: '0xq' "
+                                     "(expected 0xHEX)"},
+      {"shardsubmit g 2 5 bogus=1", "unknown shardsubmit option 'bogus'"},
       {"cancel", "usage: cancel ID"},
       {"cancel nope", "malformed value for ID: 'nope'"},
       {"wait 1 2", "usage: wait [ID]"},
