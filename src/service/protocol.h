@@ -8,8 +8,8 @@
 //      ...) with explicit typed fields, wrapped in a std::variant. This
 //      is the API a network client or a future sharding coordinator
 //      programs against.
-//   2. *Codecs*: two interchangeable wire encodings of the same
-//      messages, both newline-delimited:
+//   2. *Codecs*: two newline-delimited wire encodings of the same
+//      messages, both driven by one per-verb field table (protocol.cc):
 //        - text: the historical human session grammar
 //          ("mine web 2 12 threads=8"). ParseTextRequest/
 //          FormatTextResponse round-trip it byte-for-byte, so existing

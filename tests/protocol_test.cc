@@ -432,10 +432,22 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
       {"drain", "usage: drain ID"},
       {"drain 1 2", "usage: drain ID"},
       {"metrics bogus", "usage: metrics [format=table|prom]"},
-      {"metrics format", "usage: metrics [format=table|prom]"},
       {"shardsubmit g 2 5 hash=0xq", "malformed value for hash: '0xq' "
                                      "(expected 0xHEX)"},
       {"shardsubmit g 2 5 bogus=1", "unknown shardsubmit option 'bogus'"},
+      // Durations must be finite and within [0, 1e6] (seconds for
+      // time-limit, milliseconds for tau-ms): the engines turn them into
+      // integer nanosecond deadlines.
+      {"mine g 2 5 time-limit=inf",
+       "time-limit must be a finite number in [0, 1000000], got 'inf'"},
+      {"mine g 2 5 time-limit=1e300",
+       "time-limit must be a finite number in [0, 1000000], got '1e+300'"},
+      {"mine g 2 5 time-limit=-1",
+       "time-limit must be a finite number in [0, 1000000], got '-1'"},
+      {"submit g 2 5 tau-ms=nan",
+       "tau-ms must be a finite number in [0, 1000000], got 'nan'"},
+      {"mineshard g 2 5 tau-ms=1000001",
+       "tau-ms must be a finite number in [0, 1000000], got '1000001'"},
       {"cancel", "usage: cancel ID"},
       {"cancel nope", "malformed value for ID: 'nope'"},
       {"wait 1 2", "usage: wait [ID]"},
@@ -510,6 +522,14 @@ TEST(ProtocolFramed, MalformedFramesAreStructuredErrorsNeverCrashes) {
       "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,\"cursor\":7}",
       "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
       "\"cursor\":\"3:x\"}",
+      "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"time_limit\":1e300}",                     // duration out of range
+      "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"time_limit\":-1}",
+      "{\"cmd\":\"submit\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"tau_ms\":-0.5}",
+      "{\"cmd\":\"shardsubmit\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"tau_ms\":1000001}",
       "{\"cmd\":\"store\",\"bogus\":1}",              // unknown field
       "{\"cmd\":\"store\",\"evict\":\"yes\"}",        // evict must be bool
       "{\"cmd\":\"quit\",\"cmd\"",
