@@ -1,6 +1,7 @@
 // Unit tests for SNAP edge-list I/O, including the bundled karate graph.
 
 #include "graph/edge_list_io.h"
+#include "tests/test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,7 @@ namespace kplex {
 namespace {
 
 std::string WriteTemp(const std::string& contents) {
-  static int counter = 0;
-  std::string path =
-      ::testing::TempDir() + "kplex_io_test_" + std::to_string(counter++);
+  std::string path = testing_util::UniqueTempPath("edges");
   std::ofstream out(path);
   out << contents;
   return path;

@@ -17,16 +17,13 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/snapshot.h"
+#include "tests/test_util.h"
 #include "util/mmap_file.h"
 
 namespace kplex {
 namespace {
 
-std::string TempPath(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "kplex_catalog_test_" + tag + "_" +
-         std::to_string(counter++);
-}
+using testing_util::UniqueTempPath;
 
 CatalogEntryInfo InfoOf(const GraphCatalog& catalog,
                         const std::string& name) {
@@ -39,7 +36,7 @@ CatalogEntryInfo InfoOf(const GraphCatalog& catalog,
 
 TEST(GraphCatalog, LazyLoadFromEdgeListFile) {
   Graph g = GraphBuilder::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  std::string path = TempPath("lazy");
+  std::string path = UniqueTempPath("lazy");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
 
   GraphCatalog catalog;
@@ -60,7 +57,7 @@ TEST(GraphCatalog, LazyLoadFromEdgeListFile) {
 
 TEST(GraphCatalog, LoadsSnapshotsByMagic) {
   Graph g = GenerateErdosRenyi(100, 0.1, 1);
-  std::string path = TempPath("snap");
+  std::string path = UniqueTempPath("snap");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
@@ -83,7 +80,7 @@ TEST(GraphCatalog, DuplicateAndUnknownNames) {
 
 TEST(GraphCatalog, EvictAndReload) {
   Graph g = GraphBuilder::FromEdges(4, {{0, 1}, {1, 2}});
-  std::string path = TempPath("evict");
+  std::string path = UniqueTempPath("evict");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
@@ -109,7 +106,7 @@ TEST(GraphCatalog, LruEvictionUnderMemoryBudget) {
   std::vector<std::string> paths;
   for (int i = 0; i < 3; ++i) {
     Graph g = GenerateErdosRenyi(400, 0.05, 10 + i);
-    std::string path = TempPath("lru" + std::to_string(i));
+    std::string path = UniqueTempPath("lru" + std::to_string(i));
     EXPECT_TRUE(SaveEdgeList(g, path).ok());
     paths.push_back(path);
   }
@@ -152,7 +149,7 @@ TEST(GraphCatalog, MappedSnapshotsAreBudgetExempt) {
   std::vector<std::string> paths;
   for (int i = 0; i < 3; ++i) {
     Graph g = GenerateErdosRenyi(400, 0.05, 20 + i);
-    std::string path = TempPath("mapped" + std::to_string(i));
+    std::string path = UniqueTempPath("mapped" + std::to_string(i));
     EXPECT_TRUE(SaveSnapshot(g, path).ok());
     paths.push_back(path);
   }
@@ -180,7 +177,7 @@ TEST(GraphCatalog, MappedSnapshotsAreBudgetExempt) {
 
 TEST(GraphCatalog, PrecomputeSectionsFlowThroughGetFull) {
   Graph g = GenerateErdosRenyi(120, 0.08, 3);
-  std::string path = TempPath("pre");
+  std::string path = UniqueTempPath("pre");
   SnapshotWriteOptions options;
   options.include_precompute = true;
   options.core_mask_levels = {2};
@@ -202,7 +199,7 @@ TEST(GraphCatalog, PrecomputeSectionsFlowThroughGetFull) {
   EXPECT_EQ(*catalog.PrecomputeTag("g"), "order+core+masks");  // sticky
 
   // A plain v2 snapshot (no sections) reports none.
-  std::string plain = TempPath("plain");
+  std::string plain = UniqueTempPath("plain");
   ASSERT_TRUE(SaveSnapshot(g, plain).ok());
   ASSERT_TRUE(catalog.RegisterFile("p", plain).ok());
   ASSERT_TRUE(catalog.Get("p").ok());
@@ -228,7 +225,7 @@ TEST(GraphCatalog, PinnedGraphsAreNeverEvicted) {
 
 TEST(GraphCatalog, SharedPtrKeepsEvictedGraphAlive) {
   Graph g = GraphBuilder::FromEdges(4, {{0, 1}, {2, 3}});
-  std::string path = TempPath("alive");
+  std::string path = UniqueTempPath("alive");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
@@ -246,7 +243,7 @@ TEST(GraphCatalog, ConcurrentGetsMaterializeExactlyOnce) {
   // loading latch must collapse them into a single materialization that
   // everyone shares (same Graph instance, loads == 1).
   Graph g = GenerateErdosRenyi(200, 0.1, 7);
-  std::string path = TempPath("race");
+  std::string path = UniqueTempPath("race");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
@@ -273,7 +270,7 @@ TEST(GraphCatalog, ConcurrentGetEvictUnregisterStress) {
   // Gets, evictions and re-registrations interleave freely; nothing may
   // crash, and every successful Get must return a usable pinned graph.
   Graph g = GenerateErdosRenyi(150, 0.1, 9);
-  std::string path = TempPath("stress");
+  std::string path = UniqueTempPath("stress");
   ASSERT_TRUE(SaveEdgeList(g, path).ok());
   GraphCatalog catalog;
   ASSERT_TRUE(catalog.RegisterFile("g", path).ok());
@@ -313,7 +310,7 @@ TEST(GraphCatalog, SaveSnapshotForRoundTrips) {
   ASSERT_TRUE(catalog
                   .RegisterGraph("g", GenerateErdosRenyi(50, 0.2, 2))
                   .ok());
-  std::string path = TempPath("save");
+  std::string path = UniqueTempPath("save");
   ASSERT_TRUE(catalog.SaveSnapshotFor("g", path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());

@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "service/graph_catalog.h"
 #include "store/result_store.h"
+#include "tests/test_util.h"
 
 namespace kplex {
 namespace {
@@ -28,9 +29,7 @@ namespace {
 Graph TestGraph() { return GenerateErdosRenyi(120, 0.12, 42); }
 
 std::string FreshStoreDir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "kplex_engine_store_" +
-                    std::to_string(counter++);
+  std::string dir = testing_util::UniqueTempPath("engine_store");
   std::filesystem::remove_all(dir);
   return dir;
 }

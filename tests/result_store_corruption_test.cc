@@ -8,6 +8,7 @@
 // (filename-hash collision) is a miss, not corruption.
 
 #include "store/result_store.h"
+#include "tests/test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -22,9 +23,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "kplex_store_corrupt_" + tag +
-                    "_" + std::to_string(counter++);
+  std::string dir = testing_util::UniqueTempPath(tag);
   fs::remove_all(dir);
   return dir;
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "tests/test_util.h"
 #include "util/status.h"
 
 namespace kplex {
@@ -20,9 +21,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string FreshDir(const std::string& tag) {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "kplex_result_store_" + tag + "_" +
-                    std::to_string(counter++);
+  std::string dir = testing_util::UniqueTempPath(tag);
   fs::remove_all(dir);
   return dir;
 }

@@ -19,16 +19,13 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/snapshot.h"
+#include "tests/test_util.h"
 #include "util/timer.h"
 
 namespace kplex {
 namespace {
 
-std::string TempPath(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "kplex_session_test_" + tag + "_" +
-         std::to_string(counter++);
-}
+using testing_util::UniqueTempPath;
 
 // Extracts N from "... : N plexes, ..." in a `mined` output line.
 uint64_t PlexCountOf(const std::string& line) {
@@ -47,8 +44,8 @@ std::vector<std::string> Lines(const std::string& text) {
 
 TEST(ServiceSession, EndToEndScriptWithCachedRepeatQuery) {
   Graph graph = GenerateErdosRenyi(150, 0.1, 21);
-  const std::string edges_path = TempPath("e2e_edges");
-  const std::string snapshot_path = TempPath("e2e_snap");
+  const std::string edges_path = UniqueTempPath("e2e_edges");
+  const std::string snapshot_path = UniqueTempPath("e2e_snap");
   ASSERT_TRUE(SaveEdgeList(graph, edges_path).ok());
 
   std::ostringstream out;
@@ -175,8 +172,8 @@ TEST(ServiceSession, SnapshotReloadFasterThanEdgeListParse) {
   // graph big enough that the margin is far from timer noise (~200k
   // edges: text parse is tens of ms, snapshot load is ~1ms).
   Graph graph = GenerateBarabasiAlbert(20000, 10, 3);
-  const std::string edges_path = TempPath("timing_edges");
-  const std::string snapshot_path = TempPath("timing_snap");
+  const std::string edges_path = UniqueTempPath("timing_edges");
+  const std::string snapshot_path = UniqueTempPath("timing_snap");
   ASSERT_TRUE(SaveEdgeList(graph, edges_path).ok());
   ASSERT_TRUE(SaveSnapshot(graph, snapshot_path).ok());
 
@@ -246,7 +243,7 @@ TEST(ServiceSession, WorkersFourMatchesWorkersOneJobForJob) {
   // lines at --workers 4 and --workers 1 (modulo timings, which the
   // comparison strips along with completion order).
   Graph graph = GenerateErdosRenyi(150, 0.1, 33);
-  const std::string edges_path = TempPath("workers_edges");
+  const std::string edges_path = UniqueTempPath("workers_edges");
   ASSERT_TRUE(SaveEdgeList(graph, edges_path).ok());
 
   std::string script_text = "load g " + edges_path + "\n";

@@ -17,16 +17,13 @@
 #include "graph/degeneracy.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
+#include "tests/test_util.h"
 #include "util/mmap_file.h"
 
 namespace kplex {
 namespace {
 
-std::string TempPath(const std::string& tag) {
-  static int counter = 0;
-  return ::testing::TempDir() + "kplex_snapshot_test_" + tag + "_" +
-         std::to_string(counter++);
-}
+using testing_util::UniqueTempPath;
 
 // Mirrors the production snapshot checksum (FNV-1a 64) for tests that
 // corrupt a file and must re-checksum it to keep the tampering
@@ -50,7 +47,7 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
 TEST(Snapshot, RoundTripSmallGraph) {
   Graph g = GraphBuilder::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4},
                                         {4, 0}, {0, 2}});
-  std::string path = TempPath("small");
+  std::string path = UniqueTempPath("small");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -60,7 +57,7 @@ TEST(Snapshot, RoundTripSmallGraph) {
 
 TEST(Snapshot, RoundTripGeneratedGraph) {
   Graph g = GenerateBarabasiAlbert(2000, 8, 11);
-  std::string path = TempPath("generated");
+  std::string path = UniqueTempPath("generated");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -70,7 +67,7 @@ TEST(Snapshot, RoundTripGeneratedGraph) {
 
 TEST(Snapshot, RoundTripEmptyGraph) {
   Graph g;
-  std::string path = TempPath("empty");
+  std::string path = UniqueTempPath("empty");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -83,7 +80,7 @@ TEST(Snapshot, RoundTripIsolatedVertices) {
   // Vertices with empty adjacency must survive (an edge-list round trip
   // would lose them; the snapshot must not).
   Graph g = GraphBuilder::FromEdges(6, {{1, 3}});
-  std::string path = TempPath("isolated");
+  std::string path = UniqueTempPath("isolated");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok());
@@ -99,7 +96,7 @@ TEST(Snapshot, MissingFileIsIoError) {
 }
 
 TEST(Snapshot, EdgeListFileIsRejected) {
-  std::string path = TempPath("edgelist");
+  std::string path = UniqueTempPath("edgelist");
   {
     std::ofstream out(path);
     out << "0 1\n1 2\n";
@@ -112,7 +109,7 @@ TEST(Snapshot, EdgeListFileIsRejected) {
 
 TEST(Snapshot, TruncatedFileIsRejected) {
   Graph g = GenerateErdosRenyi(200, 0.05, 3);
-  std::string path = TempPath("truncated");
+  std::string path = UniqueTempPath("truncated");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   // Chop the file to half its size (keeps the header, loses adjacency).
   std::ifstream in(path, std::ios::binary);
@@ -131,7 +128,7 @@ TEST(Snapshot, TruncatedFileIsRejected) {
 
 TEST(Snapshot, CorruptedHeaderIsRejected) {
   Graph g = GraphBuilder::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  std::string path = TempPath("badheader");
+  std::string path = UniqueTempPath("badheader");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   {
     // Flip a byte inside the vertex-count field.
@@ -148,7 +145,7 @@ TEST(Snapshot, CorruptedHeaderIsRejected) {
 
 TEST(Snapshot, CorruptedPayloadFailsChecksum) {
   Graph g = GenerateErdosRenyi(100, 0.1, 5);
-  std::string path = TempPath("badpayload");
+  std::string path = UniqueTempPath("badpayload");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   {
     // Flip one adjacency byte near the end of the file; the header stays
@@ -178,7 +175,7 @@ TEST(Snapshot, HugeDeclaredCountsAreRejectedWithoutAllocating) {
   // legacy-header offsets, and v1 is the loader that reads into
   // pre-sized vectors.
   Graph g = GraphBuilder::FromEdges(3, {{0, 1}, {1, 2}});
-  std::string path = TempPath("huge");
+  std::string path = UniqueTempPath("huge");
   SnapshotWriteOptions v1;
   v1.version = kSnapshotVersionLegacy;
   ASSERT_TRUE(SaveSnapshot(g, path, v1).ok());
@@ -233,7 +230,7 @@ TEST(Snapshot, HandcraftedUnsortedRowIsRejected) {
   mix(adjacency, sizeof(adjacency));
   header.checksum = hash;
 
-  std::string path = TempPath("handcrafted");
+  std::string path = UniqueTempPath("handcrafted");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(reinterpret_cast<const char*>(&header), sizeof(header));
@@ -258,7 +255,7 @@ TEST(SnapshotV2, V1FileLoadsThroughLegacyPath) {
   // A pre-v2 snapshot (as every file written before this format bump)
   // must keep loading: buffered reader, owned vectors, no precompute.
   Graph g = GenerateBarabasiAlbert(500, 6, 17);
-  std::string path = TempPath("v1compat");
+  std::string path = UniqueTempPath("v1compat");
   SnapshotWriteOptions v1;
   v1.version = kSnapshotVersionLegacy;
   ASSERT_TRUE(SaveSnapshot(g, path, v1).ok());
@@ -280,13 +277,13 @@ TEST(SnapshotV2, V1CannotCarryPrecompute) {
   SnapshotWriteOptions bad;
   bad.version = kSnapshotVersionLegacy;
   bad.include_precompute = true;
-  EXPECT_EQ(SaveSnapshot(g, TempPath("v1pre"), bad).code(),
+  EXPECT_EQ(SaveSnapshot(g, UniqueTempPath("v1pre"), bad).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotV2, DefaultWriteIsZeroCopyV2) {
   Graph g = GenerateBarabasiAlbert(800, 7, 23);
-  std::string path = TempPath("v2map");
+  std::string path = UniqueTempPath("v2map");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
 
   auto loaded = LoadSnapshotFull(path);
@@ -311,7 +308,7 @@ TEST(SnapshotV2, DefaultWriteIsZeroCopyV2) {
 
 TEST(SnapshotV2, PrecomputeSectionsRoundTrip) {
   Graph g = GenerateErdosRenyi(300, 0.04, 9);
-  std::string path = TempPath("v2pre");
+  std::string path = UniqueTempPath("v2pre");
   SnapshotWriteOptions options;
   options.include_precompute = true;
   options.core_mask_levels = {1, 3};
@@ -351,7 +348,7 @@ TEST(SnapshotV2, PrecomputeSectionsRoundTrip) {
 
 TEST(SnapshotV2, TruncationIsRejected) {
   Graph g = GenerateErdosRenyi(200, 0.05, 4);
-  std::string path = TempPath("v2trunc");
+  std::string path = UniqueTempPath("v2trunc");
   SnapshotWriteOptions options;
   options.include_precompute = true;
   ASSERT_TRUE(SaveSnapshot(g, path, options).ok());
@@ -374,7 +371,7 @@ TEST(SnapshotV2, TruncationIsRejected) {
 
 TEST(SnapshotV2, MappedPayloadCorruptionFailsSectionChecksum) {
   Graph g = GenerateErdosRenyi(150, 0.07, 6);
-  std::string path = TempPath("v2corrupt");
+  std::string path = UniqueTempPath("v2corrupt");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   {
     // Flip an adjacency byte near the end (0xff: offset bytes are
@@ -397,7 +394,7 @@ TEST(SnapshotV2, MappedPayloadCorruptionFailsSectionChecksum) {
 
 TEST(SnapshotV2, TableCorruptionFailsTableChecksum) {
   Graph g = GraphBuilder::FromEdges(5, {{0, 1}, {1, 2}, {3, 4}});
-  std::string path = TempPath("v2table");
+  std::string path = UniqueTempPath("v2table");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   {
     // Byte 64 is the first section-table entry's type field.
@@ -416,7 +413,7 @@ TEST(SnapshotV2, TableCorruptionFailsTableChecksum) {
 TEST(SnapshotV2, EmptyAndIsolatedGraphsRoundTrip) {
   {
     Graph g;
-    std::string path = TempPath("v2empty");
+    std::string path = UniqueTempPath("v2empty");
     ASSERT_TRUE(SaveSnapshot(g, path).ok());
     auto loaded = LoadSnapshotFull(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -425,7 +422,7 @@ TEST(SnapshotV2, EmptyAndIsolatedGraphsRoundTrip) {
   }
   {
     Graph g = GraphBuilder::FromEdges(6, {{1, 3}});
-    std::string path = TempPath("v2isolated");
+    std::string path = UniqueTempPath("v2isolated");
     SnapshotWriteOptions options;
     options.include_precompute = true;
     ASSERT_TRUE(SaveSnapshot(g, path, options).ok());
@@ -443,7 +440,7 @@ TEST(SnapshotV2, EmptyAndIsolatedGraphsRoundTrip) {
 // instead of failing (forward compatibility).
 TEST(SnapshotV2, UnknownSectionTypesAreSkipped) {
   Graph g = GenerateErdosRenyi(80, 0.1, 8);
-  std::string path = TempPath("v2unknown");
+  std::string path = UniqueTempPath("v2unknown");
   SnapshotWriteOptions options;
   options.include_precompute = true;
   ASSERT_TRUE(SaveSnapshot(g, path, options).ok());
@@ -481,7 +478,7 @@ TEST(SnapshotV2, UnknownSectionTypesAreSkipped) {
 
 TEST(SnapshotV2, NonPermutationOrderSectionIsRejected) {
   Graph g = GenerateErdosRenyi(64, 0.1, 12);
-  std::string path = TempPath("v2badorder");
+  std::string path = UniqueTempPath("v2badorder");
   SnapshotWriteOptions options;
   options.include_precompute = true;
   ASSERT_TRUE(SaveSnapshot(g, path, options).ok());
@@ -555,7 +552,7 @@ TEST(SnapshotV2, OverflowingAdjacencyClaimIsRejected) {
   std::memcpy(bytes.data() + 40, &table_checksum, 8);
   std::memcpy(bytes.data() + 192, offsets, sizeof(offsets));
 
-  std::string path = TempPath("v2overflow");
+  std::string path = UniqueTempPath("v2overflow");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -572,7 +569,7 @@ TEST(SnapshotV2, MaskContradictingCorenessIsRejected) {
   // would silently drop vertices from the survivor graph; the loader
   // must reject the contradiction instead.
   Graph g = GenerateErdosRenyi(96, 0.1, 21);
-  std::string path = TempPath("v2badmask");
+  std::string path = UniqueTempPath("v2badmask");
   SnapshotWriteOptions options;
   options.core_mask_levels = {2};
   ASSERT_TRUE(SaveSnapshot(g, path, options).ok());
@@ -618,7 +615,7 @@ TEST(SnapshotV2, InPlaceReencodeOfAMappedSnapshotIsSafe) {
   // mapped file in place (SIGBUS on the pages being serialized) — it
   // writes a sibling temp file and renames over the target.
   Graph g = GenerateErdosRenyi(250, 0.05, 14);
-  std::string path = TempPath("inplace");
+  std::string path = UniqueTempPath("inplace");
   ASSERT_TRUE(SaveSnapshot(g, path).ok());
   auto mapped = LoadSnapshotFull(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
@@ -637,8 +634,8 @@ TEST(SnapshotV2, InPlaceReencodeOfAMappedSnapshotIsSafe) {
 
 TEST(Snapshot, AutoLoaderDispatchesByMagic) {
   Graph g = GraphBuilder::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-  std::string snapshot_path = TempPath("auto_snap");
-  std::string edges_path = TempPath("auto_edges");
+  std::string snapshot_path = UniqueTempPath("auto_snap");
+  std::string edges_path = UniqueTempPath("auto_edges");
   ASSERT_TRUE(SaveSnapshot(g, snapshot_path).ok());
   ASSERT_TRUE(SaveEdgeList(g, edges_path).ok());
   EXPECT_TRUE(LooksLikeSnapshot(snapshot_path));

@@ -6,7 +6,10 @@
 #define KPLEX_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <cctype>
 #include <string>
 #include <vector>
 
@@ -21,6 +24,25 @@ namespace kplex {
 namespace testing_util {
 
 using ResultSet = std::vector<std::vector<VertexId>>;
+
+/// A temp path unique to this process and the running test; `tag` (and
+/// a per-process counter) tell one test's paths apart. ctest runs every
+/// discovered case in its own process, so a counter alone would hand
+/// concurrent cases the same path.
+inline std::string UniqueTempPath(const std::string& tag) {
+  static std::atomic<int> counter{0};
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = test == nullptr ? "none"
+                                     : std::string(test->test_suite_name()) +
+                                           "." + test->name();
+  for (char& c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+  }
+  return ::testing::TempDir() + "kplex_" + name + "_" +
+         std::to_string(::getpid()) + "_" + tag + "_" +
+         std::to_string(counter++);
+}
 
 /// Runs the engine with `options` and returns the sorted result set.
 inline ResultSet RunEngine(const Graph& graph, const EnumOptions& options) {
