@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "baselines/bk_naive.h"
 #include "graph/builder.h"
@@ -88,6 +90,132 @@ TEST(SeedGraph, Corollary52Fixpoint) {
       }
     }
   }
+}
+
+// Reference for the seed-level pruning: the Section 5 rules applied
+// round by round until nothing changes, every count recomputed from the
+// input graph. Deliberately naive, so it shares no code path with the
+// peel in BuildSeedGraph.
+struct OracleSeed {
+  bool viable = false;
+  std::vector<VertexId> n1, n2, fringe;  // ascending
+  uint64_t pruned = 0;
+};
+
+OracleSeed OracleBuild(const Graph& g, const DegeneracyResult& degeneracy,
+                       VertexId seed, uint32_t k, uint32_t q,
+                       bool use_seed_pruning) {
+  OracleSeed out;
+  auto later = [&](VertexId v) {
+    return degeneracy.rank[v] > degeneracy.rank[seed];
+  };
+  std::set<VertexId> n1, n2;
+  for (VertexId u : g.Neighbors(seed)) {
+    if (later(u)) n1.insert(u);
+  }
+  if (n1.size() + k < q) return out;
+  for (VertexId u : n1) {
+    for (VertexId w : g.Neighbors(u)) {
+      if (w != seed && later(w) && n1.count(w) == 0) n2.insert(w);
+    }
+  }
+  auto common = [&](VertexId x) {
+    int64_t c = 0;
+    for (VertexId w : g.Neighbors(x)) c += n1.count(w);
+    return c;
+  };
+  // Corollary 5.2 on N1 and N2; without seed pruning an N2 vertex only
+  // needs one surviving N1 witness.
+  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
+  const int64_t thr_n2 = use_seed_pruning ? thr_n1 + 2 : 1;
+  for (bool changed = true; changed;) {
+    std::vector<VertexId> drop;
+    if (use_seed_pruning) {
+      for (VertexId u : n1) {
+        if (common(u) < thr_n1) drop.push_back(u);
+      }
+    }
+    for (VertexId u : n2) {
+      if (common(u) < thr_n2) drop.push_back(u);
+    }
+    for (VertexId u : drop) {
+      n1.erase(u);
+      n2.erase(u);
+    }
+    if (use_seed_pruning) out.pruned += drop.size();
+    changed = !drop.empty();
+  }
+  if (n1.size() + k < q || 1 + n1.size() + n2.size() < q) return out;
+  out.viable = true;
+  out.n1.assign(n1.begin(), n1.end());
+  out.n2.assign(n2.begin(), n2.end());
+  // Theorem 5.1 on the fringe: earlier vertices adjacent to the seed, or
+  // two hops away through a surviving N1 vertex.
+  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+    if (x == seed || later(x)) continue;
+    const int64_t c = common(x);
+    const bool keep = g.HasEdge(seed, x) ? c >= thr_n1
+                                         : c >= 1 && c >= thr_n1 + 2;
+    if (keep) out.fringe.push_back(x);
+  }
+  return out;
+}
+
+TEST(SeedGraph, PruningMatchesRoundBasedOracle) {
+  std::vector<Graph> graphs;
+  for (uint64_t rng = 1; rng <= 6; ++rng) {
+    for (double p : {0.1, 0.2, 0.35, 0.5}) {
+      graphs.push_back(GenerateErdosRenyi(40 + 3 * rng, p, 100 * rng));
+    }
+    for (std::size_t attach : {2, 4, 7}) {
+      graphs.push_back(GenerateBarabasiAlbert(50 + 2 * rng, attach, rng));
+    }
+  }
+  ASSERT_GE(graphs.size(), 40u);
+  // q = 2k - 1 turns N1 pruning off (q - 2k < 0); the rest raise it.
+  const std::vector<std::pair<uint32_t, uint32_t>> grid = {
+      {1, 1}, {1, 3}, {2, 3}, {2, 4}, {2, 6}, {3, 5}, {3, 8}, {4, 7}, {4, 10}};
+  std::size_t viable = 0, pruned_seeds = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    DegeneracyResult degeneracy = ComputeDegeneracy(g);
+    for (auto [k, q] : grid) {
+      for (bool use_seed_pruning : {true, false}) {
+        EnumOptions options = EnumOptions::Ours(k, q);
+        options.use_seed_pruning = use_seed_pruning;
+        options.use_pair_pruning_r2 = false;  // not compared here
+        for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
+          SCOPED_TRACE(testing::Message()
+                       << "graph " << gi << " k=" << k << " q=" << q
+                       << " seed_pruning=" << use_seed_pruning
+                       << " seed " << seed);
+          const OracleSeed want =
+              OracleBuild(g, degeneracy, seed, k, q, use_seed_pruning);
+          AlgoCounters counters;
+          auto sg =
+              BuildSeedGraph(g, {}, degeneracy, seed, options, &counters);
+          EXPECT_EQ(counters.seed_vertices_pruned, want.pruned);
+          ASSERT_EQ(sg.has_value(), want.viable);
+          if (want.pruned > 0) ++pruned_seeds;
+          if (!sg.has_value()) continue;
+          ++viable;
+          EXPECT_EQ(sg->num_n1, want.n1.size());
+          EXPECT_EQ(sg->num_vi, 1 + want.n1.size() + want.n2.size());
+          EXPECT_EQ(sg->universe, sg->num_vi + want.fringe.size());
+          auto region = [&](uint32_t begin, uint32_t end) {
+            return std::vector<VertexId>(sg->to_global.begin() + begin,
+                                         sg->to_global.begin() + end);
+          };
+          EXPECT_EQ(region(1, 1 + sg->num_n1), want.n1);
+          EXPECT_EQ(region(1 + sg->num_n1, sg->num_vi), want.n2);
+          EXPECT_EQ(region(sg->num_vi, sg->universe), want.fringe);
+        }
+      }
+    }
+  }
+  // The grid must exercise both outcomes, not just one.
+  EXPECT_GT(viable, 1000u);
+  EXPECT_GT(pruned_seeds, 1000u);
 }
 
 // Completeness: the union over seeds of "k-plexes representable in the
