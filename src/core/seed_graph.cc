@@ -4,78 +4,6 @@
 #include <unordered_map>
 
 namespace kplex {
-namespace {
-
-// Iterated Corollary 5.2 pruning over a working adjacency restricted to
-// candidate V_i members. `alive` flags are indexed by position in
-// `members`; position 0 is the seed.
-//
-// For u in N_{G_i}(v_i):   prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k.
-// For u in N^2_{G_i}(v_i): prune if |N(u) ∩ N_{G_i}(v_i)| < q - 2k + 2.
-// The N^2 threshold is >= 1 for every legal q >= 2k - 1, so two-hop
-// vertices that lose their last N1 witness are pruned automatically,
-// i.e. the "distance <= 2 within G_i" restriction is re-established on
-// every round.
-void IteratePruning(const Graph& graph, uint32_t seed,
-                    std::vector<VertexId>& n1, std::vector<VertexId>& n2,
-                    uint32_t k, uint32_t q, bool use_seed_pruning,
-                    AlgoCounters* counters) {
-  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
-  const int64_t thr_n2 = thr_n1 + 2;
-
-  DynamicBitset in_n1(graph.NumVertices());
-  for (VertexId v : n1) in_n1.Set(v);
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    if (use_seed_pruning && thr_n1 > 0) {
-      std::vector<VertexId> kept;
-      kept.reserve(n1.size());
-      for (VertexId u : n1) {
-        int64_t common = 0;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (in_n1.Test(w)) ++common;
-        }
-        if (common >= thr_n1) {
-          kept.push_back(u);
-        } else {
-          in_n1.Reset(u);
-          changed = true;
-          if (counters != nullptr) ++counters->seed_vertices_pruned;
-        }
-      }
-      n1.swap(kept);
-    }
-    {
-      std::vector<VertexId> kept;
-      kept.reserve(n2.size());
-      for (VertexId u : n2) {
-        int64_t common = 0;
-        for (VertexId w : graph.Neighbors(u)) {
-          if (in_n1.Test(w)) ++common;
-        }
-        // Without Corollary 5.2 we still must keep N^2 vertices reachable
-        // through a surviving N1 witness (the set-enumeration search space
-        // is defined over N^2_{G_i}); threshold 1 encodes exactly that.
-        const int64_t thr = use_seed_pruning ? thr_n2 : 1;
-        if (common >= thr) {
-          kept.push_back(u);
-        } else {
-          changed = true;
-          if (counters != nullptr && use_seed_pruning) {
-            ++counters->seed_vertices_pruned;
-          }
-        }
-      }
-      n2.swap(kept);
-    }
-    if (!use_seed_pruning) break;  // N1 never shrinks; one N2 pass suffices
-  }
-  (void)seed;
-}
-
-}  // namespace
 
 std::optional<SeedGraph> BuildSeedGraph(
     const Graph& graph, const std::vector<VertexId>& to_original,
@@ -88,7 +16,7 @@ std::optional<SeedGraph> BuildSeedGraph(
     return degeneracy.rank[v] > seed_rank;
   };
 
-  // N1: later neighbors of the seed.
+  // N1: later neighbors of the seed, ascending like the neighbor list.
   std::vector<VertexId> n1;
   for (VertexId u : graph.Neighbors(seed_vertex)) {
     if (is_later(u)) n1.push_back(u);
@@ -97,69 +25,78 @@ std::optional<SeedGraph> BuildSeedGraph(
   // containing v_i satisfies |P| <= deg_{G_i}(v_i) + k <= |N1| + k.
   if (n1.size() + k < q) return std::nullopt;
 
-  // N2: later vertices reachable from the seed through an N1 vertex.
-  std::vector<char> mark(graph.NumVertices(), 0);
-  mark[seed_vertex] = 1;
-  for (VertexId u : n1) mark[u] = 1;
-  std::vector<VertexId> n2;
+  // common[x] = |N(x) ∩ N1|, scattered once over N1's lists. `reached`
+  // lists every x with common[x] > 0: the seed, N1, N2 and the earlier
+  // vertices within two hops.
+  std::vector<uint32_t> common(graph.NumVertices(), 0);
+  std::vector<VertexId> reached;
   for (VertexId u : n1) {
     for (VertexId w : graph.Neighbors(u)) {
-      if (!mark[w] && is_later(w)) {
-        mark[w] = 1;
-        n2.push_back(w);
-      }
+      if (common[w]++ == 0) reached.push_back(w);
     }
   }
-  for (VertexId u : n1) mark[u] = 0;
-  for (VertexId u : n2) mark[u] = 0;
-  mark[seed_vertex] = 0;
+  enum Role : uint8_t { kOther, kSeedNeighbor, kN1, kPeeled };
+  std::vector<uint8_t> role(graph.NumVertices(), kOther);
+  for (VertexId x : graph.Neighbors(seed_vertex)) role[x] = kSeedNeighbor;
+  for (VertexId u : n1) role[u] = kN1;
 
-  IteratePruning(graph, seed_vertex, n1, n2, k, q, options.use_seed_pruning,
-                 counters);
+  // Corollary 5.2 on N1 (prune u if |N(u) ∩ N1| < q - 2k), peeled to
+  // its greatest fixpoint: a peeled vertex decrements every neighbor's
+  // count, which may drop further N1 vertices below the threshold. After
+  // the peel common[x] = |N(x) ∩ N1*| for every x, N1* the survivors.
+  const int64_t thr_n1 = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
+  uint64_t pruned = 0;
+  if (options.use_seed_pruning && thr_n1 > 0) {
+    std::vector<VertexId> queue;
+    for (VertexId u : n1) {
+      if (common[u] < thr_n1) {
+        role[u] = kPeeled;
+        queue.push_back(u);
+      }
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (VertexId w : graph.Neighbors(queue[head])) {
+        if (--common[w] < thr_n1 && role[w] == kN1) {
+          role[w] = kPeeled;
+          queue.push_back(w);
+        }
+      }
+    }
+    pruned += queue.size();
+    std::erase_if(n1, [&](VertexId u) { return role[u] == kPeeled; });
+  }
+
+  // The rest of `reached` splits by rank. Later vertices form N2, kept
+  // by Corollary 5.2 with q - 2k + 2 neighbors in N1*, or all kept when
+  // seed pruning is off. Earlier ones are the two-hop fringe V'_i, kept
+  // by Theorem 5.1 with q - 2k + 2 common neighbors in N1*. Every vertex
+  // in `reached` keeps a witness in N1* unless the peel ran, and then
+  // q - 2k + 2 >= 3, so both stay within two hops of the seed.
+  const int64_t thr_n2 = thr_n1 + 2;
+  std::vector<VertexId> n2;
+  std::vector<VertexId> fringe;
+  for (VertexId x : reached) {
+    if (x == seed_vertex || role[x] != kOther) continue;
+    if (is_later(x)) {
+      if (!options.use_seed_pruning || common[x] >= thr_n2) {
+        n2.push_back(x);
+      } else {
+        ++pruned;
+      }
+    } else if (common[x] >= thr_n2) {
+      fringe.push_back(x);
+    }
+  }
+  if (counters != nullptr) counters->seed_vertices_pruned += pruned;
   if (n1.size() + k < q) return std::nullopt;
   if (1 + n1.size() + n2.size() < q) return std::nullopt;
 
-  std::sort(n1.begin(), n1.end());
-  std::sort(n2.begin(), n2.end());
-
-  // Fringe V'_i: earlier vertices within two hops, filtered by the
-  // Theorem 5.1 common-neighbor conditions (common neighbors restricted
-  // to the surviving N1, which is where they must live in any extension
-  // of a result of this task).
-  DynamicBitset in_n1(graph.NumVertices());
-  for (VertexId v : n1) in_n1.Set(v);
-  auto common_with_n1 = [&](VertexId x) {
-    int64_t c = 0;
-    for (VertexId w : graph.Neighbors(x)) {
-      if (in_n1.Test(w)) ++c;
-    }
-    return c;
-  };
-  const int64_t thr_adj = static_cast<int64_t>(q) - 2 * static_cast<int64_t>(k);
-  const int64_t thr_nonadj = thr_adj + 2;
-
-  std::vector<VertexId> fringe;
-  {
-    std::vector<char> seen(graph.NumVertices(), 0);
-    // Earlier direct neighbors.
-    for (VertexId x : graph.Neighbors(seed_vertex)) {
-      if (is_later(x) || seen[x]) continue;
-      seen[x] = 1;
-      if (common_with_n1(x) >= thr_adj) fringe.push_back(x);
-    }
-    // Earlier two-hop vertices (witnessed by a surviving N1 vertex).
-    for (VertexId u : n1) {
-      for (VertexId x : graph.Neighbors(u)) {
-        if (x == seed_vertex || is_later(x) || seen[x]) continue;
-        if (graph.HasEdge(seed_vertex, x)) {
-          seen[x] = 1;
-          continue;  // already handled as a direct neighbor
-        }
-        seen[x] = 1;
-        if (common_with_n1(x) >= thr_nonadj) fringe.push_back(x);
-      }
-    }
+  // Earlier neighbors of the seed join the fringe with q - 2k common
+  // neighbors in N1*.
+  for (VertexId x : graph.Neighbors(seed_vertex)) {
+    if (!is_later(x) && common[x] >= thr_n1) fringe.push_back(x);
   }
+  std::sort(n2.begin(), n2.end());
   std::sort(fringe.begin(), fringe.end());
 
   // Assemble the local universe.
