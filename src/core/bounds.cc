@@ -11,6 +11,22 @@
 // both admissible.
 
 namespace kplex {
+namespace {
+
+// Writes sup_P(u) for every u in P into the scratch buffer. The bounds
+// read only P's entries, so the buffer grows to the universe once and is
+// never cleared between calls.
+std::vector<int32_t>& LoadSupport(const SeedGraph& sg, const TaskState& state,
+                                  uint32_t k, BoundScratch& scratch) {
+  auto& sup = scratch.support;
+  if (sup.size() < sg.universe) sup.resize(sg.universe);
+  state.p.ForEach([&](std::size_t u) {
+    sup[u] = state.Support(static_cast<uint32_t>(u), k);
+  });
+  return sup;
+}
+
+}  // namespace
 
 uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
                   uint32_t k) {
@@ -23,11 +39,7 @@ uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
 
 uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
                    uint32_t pivot, uint32_t k, BoundScratch& scratch) {
-  auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
+  auto& sup = LoadSupport(sg, state, k, scratch);
 
   uint32_t ub = state.p_size +
                 static_cast<uint32_t>(state.Support(pivot, k));
@@ -54,11 +66,7 @@ uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
 
 uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
                          uint32_t pivot, uint32_t k, BoundScratch& scratch) {
-  auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
+  auto& sup = LoadSupport(sg, state, k, scratch);
 
   auto& ws = scratch.sorted_ws;
   ws.clear();
@@ -94,11 +102,7 @@ uint32_t UbSupportSorted(const SeedGraph& sg, const TaskState& state,
 
 uint32_t UbSubtask(const SeedGraph& sg, const TaskState& state, uint32_t k,
                    BoundScratch& scratch) {
-  auto& sup = scratch.support;
-  sup.assign(sg.universe, 0);
-  state.p.ForEach([&](std::size_t u) {
-    sup[u] = state.Support(static_cast<uint32_t>(u), k);
-  });
+  auto& sup = LoadSupport(sg, state, k, scratch);
   // Theorem 5.7: v_p = v_i with sup forced to 0 — no candidate is a
   // non-neighbor of the seed, so P_m gains only |K| vertices beyond P_S.
   uint32_t k_size = 0;

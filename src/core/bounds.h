@@ -17,7 +17,7 @@ namespace kplex {
 /// Scratch space reused across bound computations of one engine (the
 /// recursion never interleaves two computations).
 struct BoundScratch {
-  std::vector<int32_t> support;       // sup_P values indexed by local id
+  std::vector<int32_t> support;       // sup_P by local id; valid on P only
   std::vector<uint32_t> sorted_ws;    // candidate ordering for the FP bound
 };
 
