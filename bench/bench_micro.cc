@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -175,14 +176,25 @@ class SeedGraphFixture {
   SeedGraphFixture() : graph_(GenerateBarabasiAlbert(2000, 18, 5)) {
     degeneracy_ = ComputeDegeneracy(graph_);
     // Find a seed whose subgraph is viable for the benchmark options
-    // (k=3, q=12): scan from the dense end of the peeling order.
-    EnumOptions probe = EnumOptions::Ours(3, 12);
+    // (k=3, q=12), scanning from the dense end of the peeling order, and
+    // the seed with the largest N1 that the seed-level pruning rejects
+    // although it passes the |N1| + k >= q check.
+    const uint32_t k = 3, q = 12;
+    EnumOptions probe = EnumOptions::Ours(k, q);
+    bool found_viable = false;
+    std::size_t rejected_n1 = 0;
     for (std::size_t i = graph_.NumVertices(); i-- > 0;) {
-      VertexId candidate = degeneracy_.order[i];
+      const VertexId candidate = degeneracy_.order[i];
+      const std::size_t n1 = LaterDegree(candidate);
+      const bool may_reject = n1 + k >= q && n1 > rejected_n1;
+      if (found_viable && !may_reject) continue;
       if (BuildSeedGraph(graph_, {}, degeneracy_, candidate, probe, nullptr)
               .has_value()) {
-        seed_ = candidate;
-        break;
+        if (!found_viable) seed_ = candidate;
+        found_viable = true;
+      } else if (may_reject) {
+        rejected_seed_ = candidate;
+        rejected_n1 = n1;
       }
     }
   }
@@ -192,24 +204,43 @@ class SeedGraphFixture {
 
   /// A seed with a viable (non-pruned-away) seed subgraph.
   VertexId PickSeed() const { return seed_; }
+  /// A seed whose subgraph the seed-level pruning rejects: the common
+  /// case, e.g. 5,926 of 6,000 seeds on enwiki-syn k=2 q=12.
+  std::optional<VertexId> PickRejectedSeed() const { return rejected_seed_; }
 
  private:
+  std::size_t LaterDegree(VertexId v) const {
+    std::size_t later = 0;
+    for (VertexId u : graph_.Neighbors(v)) {
+      later += degeneracy_.rank[u] > degeneracy_.rank[v];
+    }
+    return later;
+  }
+
   Graph graph_;
   DegeneracyResult degeneracy_;
   VertexId seed_ = 0;
+  std::optional<VertexId> rejected_seed_;
 };
 
 void BM_SeedGraphBuild(benchmark::State& state) {
   SeedGraphFixture fixture;
   EnumOptions options = EnumOptions::Ours(3, 12);
-  options.use_pair_pruning_r2 = state.range(0) != 0;
+  options.use_pair_pruning_r2 = state.range(0) == 1;
+  std::optional<VertexId> seed = fixture.PickSeed();
+  if (state.range(0) == 2) seed = fixture.PickRejectedSeed();
+  if (!seed) {
+    state.SkipWithError("no rejected seed in the fixture graph");
+    return;
+  }
   for (auto _ : state) {
-    auto sg = BuildSeedGraph(fixture.graph(), {}, fixture.degeneracy(),
-                             fixture.PickSeed(), options, nullptr);
+    auto sg = BuildSeedGraph(fixture.graph(), {}, fixture.degeneracy(), *seed,
+                             options, nullptr);
     benchmark::DoNotOptimize(sg.has_value());
   }
 }
-BENCHMARK(BM_SeedGraphBuild)->Arg(0)->Arg(1);  // 0: no T matrix, 1: with T
+// 0: viable seed, no T matrix; 1: viable seed with T; 2: rejected seed
+BENCHMARK(BM_SeedGraphBuild)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_UpperBounds(benchmark::State& state) {
   SeedGraphFixture fixture;
