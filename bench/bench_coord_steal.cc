@@ -1,13 +1,15 @@
-// Sharded mining v2 vs v1 on a skew adversary. The graph is a dense
-// Erdos-Renyi block welded to a long 4-regular ring: the ring survives
-// the (q-k)-core reduction but emits nothing, and in degeneracy order
-// its seeds come first — so v1's even seed split hands essentially all
-// real work to the last shard and three of four workers idle. The v2
-// coordinator's cost-planned chunks plus work stealing spread the dense
-// block across all four workers.
+// Chunked scheduling with work stealing vs one chunk per worker on a
+// skew adversary. The graph is many dense Erdos-Renyi blocks welded to
+// a long 4-regular ring: the ring survives the (q-k)-core reduction but
+// emits nothing, and in degeneracy order its seeds come first. Both
+// rows run the same Coordinator (RunCoordinatedMine); the baseline
+// plans exactly one chunk per worker with stealing off, so a worker
+// whose chunk finishes early just idles, while the default options
+// (8 chunks per worker, stealing on) keep all four workers busy.
 //
 // Self-checked: both coordinated runs must reproduce the single-process
-// fingerprint exactly, and v2 must beat v1 by >= 1.5x, else exit 1.
+// fingerprint exactly, and the default schedule must beat the
+// one-chunk baseline by >= 1.5x, else exit 1.
 // The speedup bar needs real cores: on a host with fewer than 4 the
 // workers time-slice one another, every mode serializes to the same
 // total CPU work, and no scheduler can buy wall-clock — the bench then
@@ -36,7 +38,6 @@ int main() {
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "service/service_api.h"
-#include "service/shard_coordinator.h"
 #include "service/tcp_server.h"
 
 namespace {
@@ -52,9 +53,9 @@ constexpr uint32_t kNumWorkers = 4;
 /// zero plexes: a 5-vertex 2-plex needs in-set degree >= 3 and ring
 /// vertices have at most 2 in-set neighbors. Degeneracy peeling
 /// removes the ring first, so every block seed lands at the END of the
-/// canonical order — v1's even split stacks all real work into its
-/// last shard, while the per-block granularity keeps the work spread
-/// over many seeds (something chunked scheduling can actually split).
+/// canonical order, while the per-block granularity keeps the work
+/// spread over many seeds (something chunked scheduling can actually
+/// split).
 Graph BuildSkewAdversary(std::size_t blocks, std::size_t block_size,
                          std::size_t ring, uint64_t seed) {
   GraphBuilder builder(blocks * block_size + ring);
@@ -109,7 +110,7 @@ std::string Hex(uint64_t v) {
 }  // namespace
 
 int main() {
-  std::printf("== Sharded mining v2 (cost plan + stealing) vs v1 ==\n");
+  std::printf("== Chunked scheduling + stealing vs one chunk per worker ==\n");
   const unsigned cores = std::thread::hardware_concurrency();
   std::printf(
       "skew adversary: %u dense ER blocks + 4-regular ring; %u workers, "
@@ -143,81 +144,68 @@ int main() {
   query.q = kQ;
   query.use_cache = false;
 
-  // v1: one even seed range per worker, no rebalancing.
-  ShardCoordinatorOptions v1_options;
-  v1_options.query = query;
-  v1_options.shards = kNumWorkers;
-  v1_options.endpoints = endpoints;
-  auto v1 = CoordinateShardedMine(v1_options);
-  if (!v1.ok()) {
-    std::fprintf(stderr, "v1 coordination failed: %s\n",
-                 v1.status().ToString().c_str());
+  // Baseline: one chunk per worker, no stealing — the schedule ends
+  // when the slowest chunk does.
+  CoordinatorOptions baseline_options;
+  baseline_options.chunks_per_worker = 1;
+  baseline_options.enable_stealing = false;
+  auto baseline = RunCoordinatedMine(query, endpoints, baseline_options);
+  if (!baseline.ok()) {
+    std::fprintf(stderr, "one-chunk coordination failed: %s\n",
+                 baseline.status().ToString().c_str());
     return 1;
   }
 
-  // v2: the coordinator daemon's scheduler — cost-balanced chunks,
-  // many more chunks than workers, stealing on.
-  CoordinatorOptions v2_options;
-  v2_options.chunks_per_worker = 8;
-  v2_options.steal_min_seconds = 0.05;
-  Coordinator coordinator(v2_options);
-  for (const auto& endpoint : endpoints) {
-    auto added = coordinator.AddWorker(endpoint);
-    if (!added.ok()) {
-      std::fprintf(stderr, "register %s: %s\n", endpoint.c_str(),
-                   added.status().ToString().c_str());
-      return 1;
-    }
-  }
-  auto submitted = coordinator.Submit(query);
-  if (!submitted.ok()) {
-    std::fprintf(stderr, "submit: %s\n",
-                 submitted.status().ToString().c_str());
+  // The default schedule: cost-balanced chunks, many more chunks than
+  // workers, stealing on.
+  CoordinatorOptions chunked_options;
+  chunked_options.chunks_per_worker = 8;
+  chunked_options.steal_min_seconds = 0.05;
+  auto chunked = RunCoordinatedMine(query, endpoints, chunked_options);
+  if (!chunked.ok()) {
+    std::fprintf(stderr, "stealing coordination failed: %s\n",
+                 chunked.status().ToString().c_str());
     return 1;
   }
-  auto v2 = coordinator.Wait(*submitted);
-  if (!v2.ok() || v2->state != "done") {
-    std::fprintf(stderr, "v2 coordination failed: %s\n",
-                 v2.ok() ? v2->status.ToString().c_str()
-                         : v2.status().ToString().c_str());
-    return 1;
-  }
-  coordinator.Stop();
 
-  const bool v1_exact = v1->num_plexes == single.num_plexes &&
-                        v1->fingerprint == single.fingerprint;
-  const bool v2_exact = v2->num_plexes == single.num_plexes &&
-                        v2->fingerprint == single.fingerprint;
-  const double speedup = v2->seconds > 0 ? v1->seconds / v2->seconds : 0;
+  const bool baseline_exact = baseline->num_plexes == single.num_plexes &&
+                              baseline->fingerprint == single.fingerprint;
+  const bool chunked_exact = chunked->num_plexes == single.num_plexes &&
+                             chunked->fingerprint == single.fingerprint;
+  const double speedup =
+      chunked->seconds > 0 ? baseline->seconds / chunked->seconds : 0;
 
   TablePrinter table({"mode", "seconds", "#plexes", "fingerprint", "chunks",
-                      "steals", "vs v1"});
+                      "steals", "speedup"});
   table.AddRow({"single-process", FormatSeconds(single.seconds),
                 FormatCount(single.num_plexes), Hex(single.fingerprint), "-",
                 "-", "-"});
-  table.AddRow({"v1 even split", FormatSeconds(v1->seconds),
-                FormatCount(v1->num_plexes), Hex(v1->fingerprint),
-                std::to_string(v1->shards.size()), "-", "1.00x"});
-  table.AddRow({"v2 steal", FormatSeconds(v2->seconds),
-                FormatCount(v2->num_plexes), Hex(v2->fingerprint),
-                std::to_string(v2->chunks), std::to_string(v2->steals),
+  table.AddRow({"1 chunk/worker", FormatSeconds(baseline->seconds),
+                FormatCount(baseline->num_plexes), Hex(baseline->fingerprint),
+                std::to_string(baseline->chunks), "-", "1.00x"});
+  table.AddRow({"8 chunks + steal", FormatSeconds(chunked->seconds),
+                FormatCount(chunked->num_plexes), Hex(chunked->fingerprint),
+                std::to_string(chunked->chunks),
+                std::to_string(chunked->steals),
                 FormatDouble(speedup, 2) + "x"});
   table.Print(std::cout);
 
-  std::printf("\nv2 cost-planned: %s; requeues: %llu\n",
-              v2->cost_planned ? "yes" : "no",
-              static_cast<unsigned long long>(v2->requeues));
+  std::printf("\ncost-planned: %s; requeues: %llu\n",
+              chunked->cost_planned ? "yes" : "no",
+              static_cast<unsigned long long>(chunked->requeues));
 
   bool ok = true;
-  if (!v1_exact || !v2_exact) {
-    std::fprintf(stderr, "FINGERPRINT MISMATCH (v1 %s, v2 %s)\n",
-                 v1_exact ? "ok" : "WRONG", v2_exact ? "ok" : "WRONG");
+  if (!baseline_exact || !chunked_exact) {
+    std::fprintf(stderr, "FINGERPRINT MISMATCH (one-chunk %s, stealing %s)\n",
+                 baseline_exact ? "ok" : "WRONG",
+                 chunked_exact ? "ok" : "WRONG");
     ok = false;
   }
   if (cores >= kNumWorkers) {
     if (speedup < 1.5) {
       std::fprintf(stderr,
-                   "SPEEDUP TOO LOW: v2 is %.2fx vs v1 (need >= 1.5x)\n",
+                   "SPEEDUP TOO LOW: stealing is %.2fx vs one chunk per "
+                   "worker (need >= 1.5x)\n",
                    speedup);
       ok = false;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <deque>
 #include <map>
 #include <utility>
@@ -11,7 +12,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/protocol.h"
-#include "service/shard_coordinator.h"
 #include "service/tcp_client.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -50,35 +50,9 @@ Histogram& CoordChunkSeconds() {
   return histogram;
 }
 
-/// "host:port" splitter (same grammar ParseEndpointList validates).
-Status SplitEndpoint(const std::string& endpoint, std::string* host,
-                     uint16_t* port) {
-  const std::size_t colon = endpoint.rfind(':');
-  Status malformed = Status::InvalidArgument(
-      "endpoint must be host:port (port 1..65535), got '" + endpoint + "'");
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= endpoint.size()) {
-    return malformed;
-  }
-  uint32_t parsed = 0;
-  for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-    const char c = endpoint[i];
-    if (c < '0' || c > '9') return malformed;
-    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
-    if (parsed > 65535) return malformed;
-  }
-  if (parsed < 1) return malformed;
-  *host = endpoint.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return Status::Ok();
-}
-
 Status ConnectWorker(TcpClient& client, const std::string& endpoint,
                      double timeout_seconds) {
-  std::string host;
-  uint16_t port = 0;
-  KPLEX_RETURN_IF_ERROR(SplitEndpoint(endpoint, &host, &port));
-  KPLEX_RETURN_IF_ERROR(client.Connect(host, port, timeout_seconds));
+  KPLEX_RETURN_IF_ERROR(client.ConnectEndpoint(endpoint, timeout_seconds));
   KPLEX_RETURN_IF_ERROR(client.SendLine(
       "hello proto=" + std::to_string(kProtocolVersionCoordination) +
       " mode=framed"));
@@ -94,6 +68,13 @@ Status ConnectWorker(TcpClient& client, const std::string& endpoint,
         " (upgrade the worker)");
   }
   return Status::Ok();
+}
+
+std::string HexHash(uint64_t hash) {
+  char text[24];
+  std::snprintf(text, sizeof(text), "0x%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
 }
 
 /// One framed round trip keeping socket failures (chunk may not have
@@ -123,7 +104,7 @@ RoundTrip RoundTripLine(TcpClient& client, const std::string& request) {
   return out;
 }
 
-/// What the planning probe learned from one worker.
+/// What a planning or admission probe learned from one worker.
 struct Probe {
   uint64_t content_hash = 0;
   uint64_t total_seeds = 0;
@@ -133,11 +114,12 @@ struct Probe {
   Status verdict;  ///< non-OK: deterministic failure, abort the job
 };
 
-/// Probes one worker: `plan` for per-seed costs, or (for ctcp, whose
-/// seed order the plan probe refuses) an empty-range mineshard that
-/// returns only the hash and the seed-space size.
+/// Probes one worker: with `plan` set, a `plan` probe for per-seed
+/// costs; otherwise (an admission check of a further worker, or ctcp,
+/// whose seed order the plan probe refuses) an empty-range mineshard
+/// that returns only the hash and the seed-space size.
 Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
-                  double timeout_seconds) {
+                  bool plan, double timeout_seconds) {
   Probe probe;
   TcpClient client;
   Status connected = ConnectWorker(client, endpoint, timeout_seconds);
@@ -146,14 +128,14 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
     probe.transport_error = connected;
     return probe;
   }
-  if (!query.use_ctcp) {
+  if (plan && !query.use_ctcp) {
     Request request;
     request.id = 1;
-    PlanRequest plan;
-    plan.graph = query.graph;
-    plan.k = query.k;
-    plan.q = query.q;
-    request.payload = std::move(plan);
+    PlanRequest plan_request;
+    plan_request.graph = query.graph;
+    plan_request.k = query.k;
+    plan_request.q = query.q;
+    request.payload = std::move(plan_request);
     RoundTrip trip = RoundTripLine(client, FormatFramedRequest(request));
     if (trip.transport_failed) {
       probe.transport_failed = true;
@@ -170,9 +152,10 @@ Probe ProbeWorker(const std::string& endpoint, const QueryRequest& query,
     probe.costs = EstimateSeedCosts(parsed->degrees, parsed->coreness);
     return probe;
   }
-  // ctcp: the canonical seed order differs from the core ordering, so
-  // cost signals are unavailable — an empty shard still reports the
-  // admission hash and the seed-space size of the *ctcp* pipeline.
+  // An empty shard reports the admission hash and the seed-space size
+  // without enumerating. Under ctcp it is also the planning probe: the
+  // canonical seed order differs from the core ordering, so cost
+  // signals are unavailable.
   Request request;
   request.id = 1;
   MineShardRequest shard;
@@ -442,10 +425,14 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
     cv_.notify_all();
   };
 
-  // Planning probe: first reachable schedulable worker answers; a
-  // worker verdict (unknown graph, bad options) is deterministic and
-  // fails the job. Mismatched snapshots among the *other* workers are
-  // caught per-chunk by the shardsubmit admission hash.
+  // Admission + planning: every schedulable worker is probed before a
+  // single chunk is cut. The first reachable one answers the planning
+  // probe and fixes the reference hash; the rest answer an empty-range
+  // shard probe, and any disagreement fails the job (a merge over
+  // different graphs would be garbage with a valid-looking
+  // fingerprint). A worker verdict (unknown graph, bad options) is
+  // deterministic and fails the job too; an unreachable worker is
+  // marked dead and skipped.
   std::vector<WorkerRecord> workers = pool_.Schedulable();
   if (workers.empty()) {
     finish_failed(Status::FailedPrecondition(
@@ -454,25 +441,36 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
     return;
   }
   Probe probe;
-  bool probed = false;
+  std::string reference_endpoint;
   Status last_transport = Status::Ok();
   for (const WorkerRecord& worker : workers) {
-    probe = ProbeWorker(worker.endpoint, run->query,
-                        options_.io_timeout_seconds);
-    if (probe.transport_failed) {
-      last_transport = probe.transport_error;
+    Probe answer =
+        ProbeWorker(worker.endpoint, run->query,
+                    /*plan=*/reference_endpoint.empty(),
+                    options_.io_timeout_seconds);
+    if (answer.transport_failed) {
+      last_transport = answer.transport_error;
       pool_.MarkDead(worker.id);
       CoordWorkersLeftTotal().Increment();
       continue;
     }
-    if (!probe.verdict.ok()) {
-      finish_failed(probe.verdict);
+    if (!answer.verdict.ok()) {
+      finish_failed(answer.verdict);
       return;
     }
-    probed = true;
-    break;
+    if (reference_endpoint.empty()) {
+      probe = std::move(answer);
+      reference_endpoint = worker.endpoint;
+    } else if (answer.content_hash != probe.content_hash) {
+      finish_failed(Status::FailedPrecondition(
+          "graph content hash mismatch for '" + run->query.graph +
+          "' between workers: " + reference_endpoint + " has " +
+          HexHash(probe.content_hash) + ", " + worker.endpoint + " has " +
+          HexHash(answer.content_hash) + " (mismatched snapshot?)"));
+      return;
+    }
   }
-  if (!probed) {
+  if (reference_endpoint.empty()) {
     finish_failed(Status::IoError(
         "the planning probe failed on every schedulable worker (last: " +
         last_transport.ToString() + ")"));
@@ -481,7 +479,7 @@ void Coordinator::RunJob(CoordJobInfo& job, const std::shared_ptr<JobRun>& run) 
   run->content_hash = probe.content_hash;
   run->total_seeds = probe.total_seeds;
 
-  workers = pool_.Schedulable();  // minus any the probe killed
+  workers = pool_.Schedulable();  // minus any the probes killed
   const uint32_t target_chunks =
       std::max<uint32_t>(1, options_.chunks_per_worker) *
       std::max<std::size_t>(1, workers.size());
@@ -674,8 +672,10 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
           break;
         }
         // Transport failure (the worker died) or an admission refusal
-        // (this worker holds different graph bytes): requeue the chunk
-        // for the surviving, matching lanes and retire this one.
+        // (this worker joined after planning, or its snapshot was
+        // swapped mid-run, and it holds different graph bytes): requeue
+        // the chunk for the surviving, matching lanes and retire this
+        // one.
         ++run->requeues;
         CoordRequeuesTotal().Increment();
         run->queue.push_back(chunk);
@@ -863,6 +863,86 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
                            run->laned_workers.end());
   --run->active_lanes;
   run->cv.notify_all();
+}
+
+Status ValidateCoordinatedQuery(const QueryRequest& query) {
+  if (query.algo == QueryAlgo::kFp) {
+    return Status::InvalidArgument(
+        "the fp baseline does not support seed ranges (pick another algo)");
+  }
+  if (query.max_results > 0) {
+    return Status::InvalidArgument(
+        "max-results does not compose with a coordinated mine: each worker "
+        "would stop after the cap within its own shard, so the merged total "
+        "would depend on the shard split. Coordinated mines are count-exact; "
+        "run a single-process mine for a truncated answer");
+  }
+  if (query.collect_bodies || query.chunk_size > 0) {
+    return Status::InvalidArgument(
+        "results=stream does not compose with a coordinated mine: shards "
+        "return mergeable summaries (count + fingerprint), not plex bodies. "
+        "Stream from a single worker instead");
+  }
+  if (query.HasFilter() || query.top_k > 0) {
+    return Status::InvalidArgument(
+        "server-side selection (filter/contain/top) does not compose with a "
+        "coordinated mine: the merge algebra is exact only over the full "
+        "result set of each shard");
+  }
+  if (query.maximum) {
+    return Status::InvalidArgument(
+        "mode=maximum does not compose with a coordinated mine: the maximum "
+        "search is not seed-range partitionable. Run it against one worker");
+  }
+  if (query.has_cursor) {
+    return Status::InvalidArgument(
+        "cursor resume does not compose with a coordinated mine: cursors "
+        "describe a sequential single-process enumeration order");
+  }
+  return Status::Ok();
+}
+
+StatusOr<std::vector<std::string>> ParseEndpointList(const std::string& list) {
+  std::vector<std::string> endpoints;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    const std::string token =
+        list.substr(start, comma == std::string::npos ? std::string::npos
+                                                      : comma - start);
+    if (!token.empty()) {
+      std::string host;
+      uint16_t port = 0;
+      KPLEX_RETURN_IF_ERROR(SplitEndpoint(token, &host, &port));
+      endpoints.push_back(token);
+    }
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  if (endpoints.empty()) {
+    return Status::InvalidArgument("endpoint list is empty");
+  }
+  return endpoints;
+}
+
+StatusOr<CoordJobInfo> RunCoordinatedMine(
+    const QueryRequest& query, const std::vector<std::string>& endpoints,
+    const CoordinatorOptions& options) {
+  if (endpoints.empty()) {
+    return Status::InvalidArgument("at least one worker endpoint is needed");
+  }
+  Coordinator coordinator(options);
+  for (const std::string& endpoint : endpoints) {
+    auto id = coordinator.AddWorker(endpoint);
+    if (!id.ok()) return id.status();
+  }
+  auto id = coordinator.Submit(query);
+  if (!id.ok()) return id.status();
+  auto job = coordinator.Wait(*id);
+  coordinator.Stop();
+  if (!job.ok()) return job.status();
+  if (job->state != "done") return job->status;
+  return job;
 }
 
 }  // namespace kplex

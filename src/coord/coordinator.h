@@ -1,16 +1,19 @@
-// Coordinator: the scheduling brain of the coordinator daemon
-// (`kplex_cli coordinate`, sharded mining v2). Where the v1
-// ShardCoordinator is a one-shot client — W equal ranges, one per
-// lane, merge, exit — this class is a long-lived service that owns a
-// WorkerPool and runs submitted mines as *two-level chunked* work:
+// Coordinator: the scheduler of sharded mining. It owns a WorkerPool
+// of `serve --listen` endpoints and runs each submitted mine as
+// *two-level chunked* work. Two front ends share it: the long-lived
+// daemon (`kplex_cli coordinate`, coord_session.h) and the one-shot
+// RunCoordinatedMine below (`kplex_cli mine --endpoints`).
 //
-//  1. Plan. A `plan` probe against one worker returns the seed-space
-//     size, the admission content hash, and per-seed cost signals
-//     (degree x coreness in the canonical order). The planner cuts the
-//     space into chunks_per_worker x workers cost-balanced chunks —
-//     many more chunks than workers, so the queue absorbs most skew.
-//     A ctcp mine (whose seed order the probe cannot serve) falls back
-//     to uniform chunks from an empty-range mineshard probe.
+//  1. Admit and plan. Every schedulable worker is probed before
+//     planning: the first reachable one answers a `plan` probe (the
+//     seed-space size, the admission content hash, and per-seed cost
+//     signals — degree x coreness in the canonical order); every other
+//     one answers an empty-range mineshard probe (hash and size only).
+//     Any hash disagreement fails the job. The planner cuts the space
+//     into chunks_per_worker x workers cost-balanced chunks — many more
+//     chunks than workers, so the queue absorbs most skew. A ctcp mine
+//     (whose seed order the plan probe cannot serve) falls back to
+//     uniform chunks from the empty-range probe.
 //
 //  2. Execute. One lane thread per schedulable worker pops chunks and
 //     round-trips them as shardsubmit + shardwait. When the queue
@@ -26,13 +29,17 @@
 // single-process count and fingerprint; a coverage check asserts the
 // merged ranges partition [0, total_seeds) before a job reports done.
 //
-// Failure taxonomy (per chunk round trip):
-//  - transport failure: the chunk may not have completed anywhere —
-//    requeue it, mark the worker dead, retire the lane. The job
-//    survives as long as one lane does.
-//  - FAILED_PRECONDITION at shardsubmit (admission hash mismatch):
-//    that worker holds different graph bytes — requeue the chunk,
-//    retire the lane; the job survives on matching workers.
+// Failure taxonomy:
+//  - admission (planning): a worker whose content hash differs from
+//    the planning worker's fails the job with FAILED_PRECONDITION —
+//    mismatched snapshots never get as far as a chunk.
+//  - transport failure on a chunk: the chunk may not have completed
+//    anywhere — requeue it, mark the worker dead, retire the lane. The
+//    job survives as long as one lane does.
+//  - FAILED_PRECONDITION at shardsubmit (a worker that joined after
+//    planning, or whose snapshot was swapped mid-run, holds different
+//    bytes): requeue the chunk, retire the lane; the job survives on
+//    matching workers.
 //  - any other worker verdict (bad options, failed job, partial
 //    non-yield result): deterministic — it would repeat anywhere, so
 //    the job aborts.
@@ -68,7 +75,7 @@ struct CoordinatorOptions {
   /// (0 = none; a hung worker then pins its lane until it answers).
   double io_timeout_seconds = 0;
   /// Work-stealing. Off, a drained queue just waits for in-flight
-  /// chunks to finish (v1 behavior with better planning).
+  /// chunks to finish.
   bool enable_stealing = true;
   /// A chunk younger than this is never stolen — it is about to finish
   /// anyway, and the steal round trip would cost more than it saves.
@@ -123,8 +130,8 @@ class Coordinator {
   std::vector<WorkerRecord> Workers() const;
 
   /// Enqueues one coordinated mine; returns its job id. The query is
-  /// validated like v1 (ValidateCoordinatedQuery) and must not carry
-  /// its own seed range — the coordinator owns the split.
+  /// validated by ValidateCoordinatedQuery and must not carry its own
+  /// seed range — the coordinator owns the split.
   StatusOr<uint64_t> Submit(const QueryRequest& query);
 
   /// Blocks until the job is terminal; NotFound for unknown ids.
@@ -156,6 +163,30 @@ class Coordinator {
   bool stopping_ = false;
   std::thread scheduler_;
 };
+
+/// Checks that `query` is one a coordinated mine can answer exactly.
+/// Coordinated mines are count-exact by construction (the merge algebra
+/// needs every chunk's complete result set), so options that truncate
+/// or reshape the served set — max-results, results=stream, filters,
+/// top=K, mode=maximum, cursors — and the fp baseline (no seed ranges)
+/// are rejected with a structured InvalidArgument explaining the
+/// incompatibility. Exposed so the CLI can surface the explanation
+/// before opening any connection.
+Status ValidateCoordinatedQuery(const QueryRequest& query);
+
+/// Splits "host:port,host:port,..." into endpoint strings, validating
+/// each with SplitEndpoint (service/tcp_client.h). Empty tokens are
+/// skipped; an empty list is InvalidArgument.
+StatusOr<std::vector<std::string>> ParseEndpointList(const std::string& list);
+
+/// One-shot coordinated mine (`kplex_cli mine --endpoints`): a private
+/// Coordinator with `options`, every endpoint registered (a repeated
+/// endpoint is one worker, hence one lane), one job submitted and
+/// waited for, then Stop. Blocking. Returns the finished job, or the
+/// failed job's status — never a partial merge.
+StatusOr<CoordJobInfo> RunCoordinatedMine(
+    const QueryRequest& query, const std::vector<std::string>& endpoints,
+    const CoordinatorOptions& options = {});
 
 }  // namespace kplex
 

@@ -1,5 +1,5 @@
-// Worker membership of the coordinator daemon. The pool is the
-// daemon's authoritative roster: which `serve --listen` endpoints
+// Worker membership of the coordinator. The pool is the
+// coordinator's authoritative roster: which `serve --listen` endpoints
 // exist, what lifecycle state each is in, and how much work each has
 // completed. It is bookkeeping only — connections and scheduling live
 // in the coordinator; the pool never touches a socket.

@@ -1140,7 +1140,8 @@ std::vector<Field> QueryFields() {
       Bind("Q", kPos, "q", &Q::q, UintCodec<uint32_t>()),
       Bind("algo", kOpt, "algo", &Q::algo,
            TextCodec<QueryAlgo>(ParseQueryAlgo, QueryAlgoName)),
-      Bind("threads", kOpt, "threads", &Q::threads, UintCodec<uint32_t>()),
+      Bind("threads", kOpt, "threads", &Q::threads,
+           UintCodec<uint32_t>(kMaxQueryThreads)),
       Bind("max-results", kOpt, "max_results", &Q::max_results,
            UintCodec<uint64_t>()),
       Bind("time-limit", kOpt, "time_limit", &Q::time_limit_seconds,

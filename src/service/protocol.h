@@ -69,10 +69,6 @@ namespace kplex {
 /// v6 added the durable result-store verbs (store / store evict).
 inline constexpr uint32_t kProtocolVersion = 6;
 
-/// First protocol version that speaks mineshard/shard_result; what a
-/// shard coordinator requires its workers to negotiate.
-inline constexpr uint32_t kProtocolVersionSharding = 2;
-
 /// First protocol version that streams result bodies and understands
 /// the selection options; what a streaming client requires its server
 /// to negotiate.
@@ -80,7 +76,7 @@ inline constexpr uint32_t kProtocolVersionStreaming = 4;
 
 /// First protocol version with the coordination vocabulary (plan /
 /// shardsubmit / shardwait / shardstop and the worker-lifecycle verbs);
-/// what the v2 coordinator daemon requires its workers to negotiate.
+/// what the coordinator requires its workers to negotiate.
 inline constexpr uint32_t kProtocolVersionCoordination = 5;
 
 /// First protocol version with the durable result-store verbs (store /
@@ -538,9 +534,9 @@ std::string FormatFramedRequest(const Request& request);
 std::string FormatFramedResponse(const Response& response);
 
 // ------------------------------------------- framed client-side decode
-// The shard coordinator is a protocol *client*: it reads framed
-// response lines off worker sockets. These decoders parse the two
-// frames it consumes. Error frames ({"ok":false,...}) come back as the
+// The coordinator is a protocol *client*: it reads framed response
+// lines off worker sockets. These decoders parse the frames it
+// consumes. Error frames ({"ok":false,...}) come back as the
 // embedded structured Status (code restored via StatusCodeFromName).
 
 /// Decodes a framed hello response; returns the negotiated version.

@@ -133,7 +133,17 @@ std::string QueryEngine::CanonicalSignature(const QueryRequest& request) {
               : "");
 }
 
+Status CheckQueryThreads(int64_t threads) {
+  if (threads < 0 || threads > kMaxQueryThreads) {
+    return Status::InvalidArgument(
+        "threads must be in 0.." + std::to_string(kMaxQueryThreads) +
+        ", got " + std::to_string(threads));
+  }
+  return Status::Ok();
+}
+
 StatusOr<QueryResult> QueryEngine::Run(const QueryRequest& request) {
+  KPLEX_RETURN_IF_ERROR(CheckQueryThreads(request.threads));
   WallTimer timer;
   const uint64_t trace_id =
       request.trace_id != 0 ? request.trace_id : NextTraceId();

@@ -50,13 +50,22 @@ enum class QueryAlgo { kOurs, kOursP, kBasic, kListPlex, kFp };
 StatusOr<QueryAlgo> ParseQueryAlgo(const std::string& name);
 const char* QueryAlgoName(QueryAlgo algo);
 
+/// Upper bound on QueryRequest::threads. The parallel engine starts one
+/// OS thread per requested worker, so both protocol codecs, the CLI and
+/// QueryEngine::Run refuse anything larger with INVALID_ARGUMENT.
+inline constexpr uint32_t kMaxQueryThreads = 1024;
+
+/// InvalidArgument unless 0 <= threads <= kMaxQueryThreads.
+Status CheckQueryThreads(int64_t threads);
+
 struct QueryRequest {
   std::string graph;  ///< catalog name
   uint32_t k = 2;
   uint32_t q = 4;
   QueryAlgo algo = QueryAlgo::kOurs;
   /// 0 runs the sequential engine; > 0 the parallel one with that many
-  /// workers. Ignored for the fp baseline (sequential only).
+  /// workers (at most kMaxQueryThreads). Ignored for the fp baseline
+  /// (sequential only).
   uint32_t threads = 0;
   /// Straggler timeout for the parallel engine, milliseconds.
   double tau_ms = 0.1;
@@ -194,7 +203,8 @@ class QueryEngine {
   explicit QueryEngine(GraphCatalog& catalog, std::size_t cache_capacity = 64)
       : catalog_(catalog), cache_capacity_(cache_capacity) {}
 
-  /// Executes (or serves from cache) one query.
+  /// Executes (or serves from cache) one query. A thread count above
+  /// kMaxQueryThreads is refused before any graph work.
   StatusOr<QueryResult> Run(const QueryRequest& request);
 
   /// Attaches the durable result store as the disk tier behind the

@@ -256,8 +256,14 @@ Response ServiceSession::ExecuteMineShard(uint64_t request_id,
 }
 
 void ServiceSession::RecordSubmittedJob(uint64_t id) {
-  std::lock_guard<std::mutex> lock(jobs_mutex_);
-  submitted_jobs_.push_back(id);
+  {
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    submitted_jobs_.push_back(id);
+    if (!abandoned_) return;
+  }
+  // The disconnect watcher already swept this session's jobs while the
+  // submit was in flight; this one would otherwise run unattended.
+  (void)api_->dispatcher().Cancel(id);
 }
 
 void ServiceSession::NoteResponse(const Response& response) {
@@ -323,6 +329,7 @@ void ServiceSession::CancelOutstandingJobs() {
   std::vector<uint64_t> jobs;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
+    abandoned_ = true;
     jobs = submitted_jobs_;
   }
   ServiceDispatcher& dispatcher = api_->dispatcher();

@@ -77,6 +77,9 @@ class ServiceSession : public WireSession {
   /// synchronous `mine`. Unlike the rest of the class this method is
   /// safe to call from another thread (a transport's disconnect
   /// watcher fires it while the session thread is blocked in a mine).
+  /// The session counts as abandoned from then on: a job it records
+  /// afterwards — one whose submit raced the disconnect — is cancelled
+  /// as soon as it is recorded.
   void CancelOutstandingJobs() override;
 
   uint64_t errors() const { return errors_; }
@@ -128,6 +131,7 @@ class ServiceSession : public WireSession {
   /// transport's watcher thread reads concurrently.
   std::mutex jobs_mutex_;
   std::vector<uint64_t> submitted_jobs_;
+  bool abandoned_ = false;  ///< CancelOutstandingJobs ran (jobs_mutex_)
   /// Failed-job ids already counted toward errors_: a job failure is one
   /// error no matter how often (or through which command) it surfaces.
   std::set<uint64_t> counted_failed_jobs_;

@@ -17,6 +17,36 @@
 
 namespace kplex {
 
+Status SplitEndpoint(const std::string& endpoint, std::string* host,
+                     uint16_t* port) {
+  const std::size_t colon = endpoint.rfind(':');
+  Status malformed = Status::InvalidArgument(
+      "endpoint must be host:port (port 1..65535), got '" + endpoint + "'");
+  if (colon == std::string::npos || colon == 0 ||
+      colon + 1 >= endpoint.size()) {
+    return malformed;
+  }
+  uint32_t parsed = 0;
+  for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
+    const char c = endpoint[i];
+    if (c < '0' || c > '9') return malformed;
+    parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
+    if (parsed > 65535) return malformed;  // also stops overflow
+  }
+  if (parsed < 1) return malformed;
+  *host = endpoint.substr(0, colon);
+  *port = static_cast<uint16_t>(parsed);
+  return Status::Ok();
+}
+
+Status TcpClient::ConnectEndpoint(const std::string& endpoint,
+                                  double timeout_seconds) {
+  std::string host;
+  uint16_t port = 0;
+  KPLEX_RETURN_IF_ERROR(SplitEndpoint(endpoint, &host, &port));
+  return Connect(host, port, timeout_seconds);
+}
+
 TcpClient::~TcpClient() { Close(); }
 
 TcpClient::TcpClient(TcpClient&& other) noexcept

@@ -1,11 +1,11 @@
 // TcpClient: the client half of the service's TCP plumbing — a
 // blocking, line-oriented connection to a `serve --listen` process.
-// The shard coordinator runs one per worker endpoint; tests and tools
-// can use it to script a server. Deliberately minimal: connect, send a
-// line, read a line. An optional timeout guards both directions so a
-// hung worker can surface as a structured error instead of a stuck
-// coordinator (timeouts report TIMED_OUT, disconnects IO_ERROR — the
-// coordinator retries the shard elsewhere either way).
+// The coordinator runs one per worker lane; the CLI's remote commands,
+// tests and tools use it to script a server. Deliberately minimal:
+// connect, send a line, read a line. An optional timeout guards both
+// directions so a hung worker can surface as a structured error instead
+// of a stuck coordinator (timeouts report TIMED_OUT, disconnects
+// IO_ERROR — the coordinator requeues the chunk elsewhere either way).
 //
 // POSIX sockets only, like TcpServer; Connect reports Unimplemented on
 // other platforms. Not thread-safe: one thread drives one client.
@@ -21,6 +21,12 @@
 
 namespace kplex {
 
+/// Splits "host:port" (port 1..65535, decimal digits only) — the one
+/// endpoint grammar of every remote command and of worker
+/// registration.
+Status SplitEndpoint(const std::string& endpoint, std::string* host,
+                     uint16_t* port);
+
 class TcpClient {
  public:
   TcpClient() = default;
@@ -35,6 +41,10 @@ class TcpClient {
   /// subsequent send and receive, not the connect itself.
   Status Connect(const std::string& host, uint16_t port,
                  double timeout_seconds = 0);
+
+  /// Connect to a "host:port" endpoint (SplitEndpoint's grammar).
+  Status ConnectEndpoint(const std::string& endpoint,
+                         double timeout_seconds = 0);
 
   bool connected() const { return fd_ >= 0; }
 

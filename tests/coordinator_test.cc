@@ -3,7 +3,8 @@
 // a single-process run bit-exactly; a cost-skewed seed space triggers
 // work-stealing whose merged prefix + requeued tail stays exact; a
 // worker killed mid-chunk is requeued on the survivor; a worker that
-// registers mid-job joins it; and the CoordSession speaks the daemon
+// registers mid-job joins it (and one holding different bytes is
+// refused at shardsubmit); and the CoordSession speaks the daemon
 // verbs over a real socket.
 
 #include "coord/coordinator.h"
@@ -272,6 +273,68 @@ TEST(Coordinator, LateRegisteredWorkerJoinsTheRunningJob) {
     b_participated = b_participated || outcome.endpoint == b.endpoint();
   }
   EXPECT_TRUE(b_participated);
+}
+
+TEST(Coordinator, LateJoinerWithDifferentBytesIsRefusedAtSubmit) {
+  // Admission at planning only sees the workers registered then. A
+  // worker that joins mid-job with different graph bytes is caught by
+  // the hash every shardsubmit carries: refused, marked dead, its chunk
+  // requeued, and nothing of it merged.
+  Graph graph = GenerateBarabasiAlbert(1000, 12, 21);
+  Worker a, b;
+  ASSERT_TRUE(a.StartWith("g", graph).ok());
+  ASSERT_TRUE(b.StartWith("g", GenerateBarabasiAlbert(1000, 12, 22)).ok());
+  const Reference reference = FullRun(graph, 3, 6);
+
+  CoordinatorOptions options;
+  options.chunks_per_worker = 8;
+  Coordinator coordinator(options);
+  ASSERT_TRUE(coordinator.AddWorker(a.endpoint()).ok());
+
+  auto id = coordinator.Submit(MakeQuery(3, 6));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  // Register B once A is actually mining, so B provably joins after
+  // planning fixed the reference hash.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  bool a_running_chunk = false;
+  while (!a_running_chunk && std::chrono::steady_clock::now() < deadline) {
+    for (const JobInfo& job : a.api->dispatcher().Jobs()) {
+      a_running_chunk =
+          a_running_chunk || (job.state == JobState::kRunning &&
+                              job.request.seed_end > job.request.seed_begin);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(a_running_chunk) << "worker A never picked up a chunk";
+  auto b_id = coordinator.AddWorker(b.endpoint());
+  ASSERT_TRUE(b_id.ok());
+
+  auto job = coordinator.Wait(*id);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  ASSERT_EQ(job->state, "done") << job->status.ToString();
+  EXPECT_EQ(job->num_plexes, reference.count);
+  EXPECT_EQ(job->fingerprint, reference.fingerprint);
+  // B's lane popped a chunk (seconds of work were left in the queue),
+  // was refused, and handed it back.
+  EXPECT_GE(job->requeues, 1u);
+  for (const CoordChunkOutcome& outcome : job->outcomes) {
+    EXPECT_NE(outcome.endpoint, b.endpoint());
+  }
+  for (const WorkerRecord& worker : coordinator.Workers()) {
+    if (worker.id == *b_id) {
+      EXPECT_EQ(worker.state, WorkerState::kDead);
+      EXPECT_EQ(worker.chunks_done, 0u);
+      EXPECT_GE(worker.chunks_failed, 1u);
+    }
+  }
+  // The refusal came before any work: B never ran a real chunk.
+  for (const JobInfo& remote : b.api->dispatcher().Jobs()) {
+    EXPECT_EQ(remote.request.seed_end, remote.request.seed_begin)
+        << "B ran seeds " << remote.request.seed_begin << ":"
+        << remote.request.seed_end;
+  }
 }
 
 TEST(Coordinator, StructuralRefusals) {

@@ -383,6 +383,13 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
                "[mode=enumerate|maximum] [cursor=S:O]"},
       {"mine g -1 5", "malformed value for K: '-1'"},
       {"mine g 2 5 threads=-2", "malformed value for threads: '-2'"},
+      // threads is capped at kMaxQueryThreads (one OS thread each).
+      {"mine g 2 5 threads=1025",
+       "malformed value for threads: '1025' (expected 0..1024)"},
+      {"submit g 2 5 threads=4294967295",
+       "malformed value for threads: '4294967295' (expected 0..1024)"},
+      {"shardsubmit g 2 5 threads=99999999999",
+       "malformed value for threads: '99999999999' (expected 0..1024)"},
       {"mine g 2 99999999999",
        "malformed value for Q: '99999999999' (expected 0..4294967295)"},
       {"mine g 2 5 bogus=1", "unknown mine option 'bogus'"},
@@ -466,6 +473,29 @@ TEST(ProtocolText, MalformedLinesAreStructuredErrors) {
   }
 }
 
+TEST(ProtocolText, ThreadsCapIsSharedByBothCodecs) {
+  // Parsing only: nothing here runs a query.
+  const std::string cap = std::to_string(kMaxQueryThreads);
+  const std::string over = std::to_string(kMaxQueryThreads + 1);
+  auto text = ParseTextRequest("mine g 2 5 threads=" + cap);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(std::get<MineRequest>(text->payload).query.threads,
+            kMaxQueryThreads);
+  auto framed = ParseFramedRequest(
+      "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,\"threads\":" +
+      cap + "}");
+  ASSERT_TRUE(framed.ok()) << framed.status().ToString();
+  EXPECT_EQ(std::get<MineRequest>(framed->payload).query.threads,
+            kMaxQueryThreads);
+  EXPECT_EQ(ParseTextRequest("mine g 2 5 threads=" + over).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParseFramedRequest("{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,"
+                               "\"q\":5,\"threads\":" + over + "}")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ProtocolFramed, MalformedFramesAreStructuredErrorsNeverCrashes) {
   const std::vector<std::string> frames = {
       "",
@@ -530,6 +560,12 @@ TEST(ProtocolFramed, MalformedFramesAreStructuredErrorsNeverCrashes) {
       "\"tau_ms\":-0.5}",
       "{\"cmd\":\"shardsubmit\",\"graph\":\"g\",\"k\":2,\"q\":5,"
       "\"tau_ms\":1000001}",
+      "{\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"threads\":1025}",                            // above kMaxQueryThreads
+      "{\"cmd\":\"mineshard\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"threads\":4294967295}",
+      "{\"cmd\":\"submit\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+      "\"threads\":-1}",
       "{\"cmd\":\"store\",\"bogus\":1}",              // unknown field
       "{\"cmd\":\"store\",\"evict\":\"yes\"}",        // evict must be bool
       "{\"cmd\":\"quit\",\"cmd\"",

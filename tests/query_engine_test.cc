@@ -457,6 +457,33 @@ TEST(QueryEngine, UnknownGraphAndBadOptionsPropagate) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(QueryEngine, ThreadCountAboveTheCapIsRefusedBeforeAnyGraphWork) {
+  // The graph name is unknown on purpose: the cap must fire first, so
+  // a regression shows up as NOT_FOUND instead of starting threads.
+  GraphCatalog catalog;
+  QueryEngine engine(catalog);
+  QueryRequest request;
+  request.graph = "nope";
+  for (uint32_t threads : {kMaxQueryThreads + 1, UINT32_MAX}) {
+    request.threads = threads;
+    auto result = engine.Run(request);
+    ASSERT_FALSE(result.ok()) << threads;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  request.threads = kMaxQueryThreads;
+  EXPECT_EQ(engine.Run(request).status().code(), StatusCode::kNotFound);
+
+  // The CLI checks its signed flag value with the same helper.
+  EXPECT_TRUE(CheckQueryThreads(0).ok());
+  EXPECT_TRUE(CheckQueryThreads(kMaxQueryThreads).ok());
+  EXPECT_EQ(CheckQueryThreads(-1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckQueryThreads(int64_t{kMaxQueryThreads} + 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CheckQueryThreads(int64_t{1} << 32).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(QueryEngineStore, DiskHitServesFreshEngineWithoutEnumerating) {
   const std::string dir = FreshStoreDir();
   uint64_t cold_fingerprint = 0;

@@ -321,6 +321,24 @@ TEST(ServiceSession, SubmitCancelWaitJobsFlow) {
       << out.str();
 }
 
+TEST(ServiceSession, JobRecordedAfterTheDisconnectSweepIsCancelled) {
+  // A transport's disconnect watcher can sweep the session's jobs while
+  // a submit is still between the dispatcher and the session's job
+  // list. The job recorded after that sweep must not run on
+  // unattended: a wiki-vote-syn 3/10 mine takes about a second, so
+  // anything but an immediate cancel shows up as "1 done".
+  std::ostringstream out;
+  ServiceSession session(out);
+  EXPECT_TRUE(session.ExecuteLine("dataset ws wiki-vote-syn"));
+  session.CancelOutstandingJobs();
+  EXPECT_TRUE(session.ExecuteLine("submit ws 3 10"));
+  EXPECT_TRUE(session.ExecuteLine("wait"));
+  EXPECT_NE(out.str().find("all jobs finished: 0 done, 1 cancelled, "
+                           "0 failed"),
+            std::string::npos)
+      << out.str();
+}
+
 TEST(ServiceSession, BareWaitCountsUnviewedJobFailures) {
   // A failed job must flip the batch exit code even when no one ever
   // `wait ID`s it — the bare-wait summary counts it exactly once.

@@ -1,11 +1,13 @@
-// End-to-end tests of the shard coordinator: a 4-shard coordinated
-// mine over two TCP worker processes must reproduce a single-process
-// run exactly (count, fingerprint, max size) on multiple datasets; a
-// worker killed mid-shard is retried on the surviving worker with the
-// total still exact; mismatched snapshots are refused through the
-// content-hash admission check; and endpoint parsing rejects garbage.
+// End-to-end tests of the one-shot coordinated mine (`kplex_cli mine
+// --endpoints`, RunCoordinatedMine over an in-process Coordinator): a
+// coordinated mine over two TCP worker processes must reproduce a
+// single-process run exactly (count, fingerprint, max size) on
+// multiple datasets; a worker killed mid-chunk has its chunk requeued
+// on the surviving worker with the total still exact; mismatched
+// snapshots are refused through the content-hash admission check; and
+// endpoint parsing rejects garbage.
 
-#include "service/shard_coordinator.h"
+#include "coord/coordinator.h"
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "core/sink.h"
 #include "graph/generators.h"
 #include "service/service_api.h"
+#include "service/tcp_client.h"
 #include "service/tcp_server.h"
 
 namespace kplex {
@@ -39,6 +42,29 @@ TEST(ShardEndpoints, ParseEndpointList) {
   EXPECT_FALSE(ParseEndpointList("host:0").ok());
   EXPECT_FALSE(ParseEndpointList("host:99999").ok());
   EXPECT_FALSE(ParseEndpointList("ok:1,bad").ok());
+
+  // The single-endpoint forms `--coordinator`, `--endpoint`, coordctl
+  // and `register` accept: the same grammar, one parser.
+  auto one = ParseEndpointList("localhost:7100");
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->size(), 1u);
+  EXPECT_EQ((*one)[0], "localhost:7100");
+  EXPECT_TRUE(ParseEndpointList("127.0.0.1:1").ok());
+  EXPECT_TRUE(ParseEndpointList("127.0.0.1:65535").ok());
+  EXPECT_FALSE(ParseEndpointList("127.0.0.1:65536").ok());
+  EXPECT_FALSE(ParseEndpointList("host:+80").ok());
+  EXPECT_FALSE(ParseEndpointList("host:-1").ok());
+  EXPECT_FALSE(ParseEndpointList("host: 80").ok());
+  EXPECT_FALSE(ParseEndpointList("host:0x50").ok());
+  EXPECT_FALSE(ParseEndpointList("host:99999999999999999999").ok());
+
+  std::string host;
+  uint16_t port = 0;
+  ASSERT_TRUE(SplitEndpoint("worker-2:5000", &host, &port).ok());
+  EXPECT_EQ(host, "worker-2");
+  EXPECT_EQ(port, 5000);
+  EXPECT_EQ(SplitEndpoint("noport", &host, &port).code(),
+            StatusCode::kInvalidArgument);
 }
 
 #if KPLEX_TEST_SOCKETS
@@ -73,6 +99,32 @@ struct Reference {
   std::size_t max_size = 0;
 };
 
+QueryRequest MakeQuery(uint32_t k, uint32_t q) {
+  QueryRequest query;
+  query.graph = "g";
+  query.k = k;
+  query.q = q;
+  return query;
+}
+
+/// Polls `worker`'s dispatcher until it runs a real chunk — a job with
+/// a non-empty seed range, not the empty-range admission probe; false
+/// after two minutes.
+bool AwaitRunningChunk(const Worker& worker) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (const JobInfo& job : worker.api->dispatcher().Jobs()) {
+      if (job.state == JobState::kRunning &&
+          job.request.seed_end > job.request.seed_begin) {
+        return true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
+}
+
 Reference FullRun(const Graph& graph, uint32_t k, uint32_t q) {
   HashingSink hashing;
   CountingSink counting;
@@ -103,54 +155,47 @@ TEST(ShardCoordinator, FourShardsOverTwoWorkersMatchSingleProcessRun) {
 
     const Reference reference = FullRun(dataset.graph, dataset.k, dataset.q);
 
-    ShardCoordinatorOptions options;
-    options.query.graph = "g";
-    options.query.k = dataset.k;
-    options.query.q = dataset.q;
-    options.shards = 4;
-    options.endpoints = {a.endpoint(), b.endpoint()};
-    auto result = CoordinateShardedMine(options);
+    auto result = RunCoordinatedMine(MakeQuery(dataset.k, dataset.q),
+                                     {a.endpoint(), b.endpoint()});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     EXPECT_EQ(result->num_plexes, reference.count);
     EXPECT_EQ(result->fingerprint, reference.fingerprint);
     EXPECT_EQ(result->max_plex_size, reference.max_size);
-    EXPECT_EQ(result->retries, 0u);
+    EXPECT_EQ(result->requeues, 0u);
     EXPECT_NE(result->content_hash, 0u);
-    ASSERT_EQ(result->shards.size(), 4u);
-    uint64_t shard_sum = 0;
-    for (const ShardOutcome& shard : result->shards) {
-      shard_sum += shard.plexes;
-      EXPECT_EQ(shard.attempts, 1u);
+    // One outcome per merged chunk; with no requeues, the chunks' plex
+    // counts add up to the whole answer.
+    ASSERT_EQ(result->outcomes.size(), result->chunks);
+    ASSERT_GE(result->outcomes.size(), 1u);
+    uint64_t chunk_sum = 0;
+    for (const CoordChunkOutcome& chunk : result->outcomes) {
+      chunk_sum += chunk.plexes;
     }
-    EXPECT_EQ(shard_sum, reference.count);
-    // Every shard ran on one of the two workers. (Which lane pops
-    // which shard is a scheduling race — one fast lane legitimately
+    EXPECT_EQ(chunk_sum, reference.count);
+    // Every chunk ran on one of the two workers. (Which lane pops
+    // which chunk is a scheduling race — one fast lane legitimately
     // may drain the whole queue — so participation of *both* is
     // deliberately not asserted.)
-    for (const ShardOutcome& shard : result->shards) {
-      EXPECT_TRUE(shard.endpoint == a.endpoint() ||
-                  shard.endpoint == b.endpoint())
-          << shard.endpoint;
+    for (const CoordChunkOutcome& chunk : result->outcomes) {
+      EXPECT_TRUE(chunk.endpoint == a.endpoint() ||
+                  chunk.endpoint == b.endpoint())
+          << chunk.endpoint;
     }
   }
 }
 
 TEST(ShardCoordinator, ManyShardsOneRepeatedEndpointStillExact) {
-  // One worker process, listed twice: two lanes into one catalog, more
-  // shards than lanes — the queue drains correctly and merges exactly.
+  // One worker process, listed twice: the pool dedupes the endpoint
+  // into one worker, hence one lane draining many chunks, and the merge
+  // is exact.
   Graph graph = GenerateErdosRenyi(220, 0.08, 29);
   Worker solo(/*dispatcher_workers=*/4);
   ASSERT_TRUE(solo.StartWith("g", graph).ok());
   const Reference reference = FullRun(graph, 2, 4);
 
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 2;
-  options.query.q = 4;
-  options.shards = 9;
-  options.endpoints = {solo.endpoint(), solo.endpoint()};
-  auto result = CoordinateShardedMine(options);
+  auto result =
+      RunCoordinatedMine(MakeQuery(2, 4), {solo.endpoint(), solo.endpoint()});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_plexes, reference.count);
   EXPECT_EQ(result->fingerprint, reference.fingerprint);
@@ -158,43 +203,25 @@ TEST(ShardCoordinator, ManyShardsOneRepeatedEndpointStillExact) {
 
 TEST(ShardCoordinator, KilledWorkerMidShardRetriesAndStaysExact) {
   // A workload slow enough (~2.5s single-threaded) that worker B is
-  // guaranteed to be mid-shard when it is killed.
+  // guaranteed to be mid-chunk when it is killed.
   Graph graph = GenerateBarabasiAlbert(1000, 12, 9);
   Worker a, b;
   ASSERT_TRUE(a.StartWith("g", graph).ok());
   ASSERT_TRUE(b.StartWith("g", graph).ok());
   const Reference reference = FullRun(graph, 3, 6);
 
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 3;
-  options.query.q = 6;
-  options.shards = 8;
-  options.max_attempts = 3;
-  options.endpoints = {a.endpoint(), b.endpoint()};
+  StatusOr<CoordJobInfo> result = Status::Internal("not run");
+  std::thread coordination([&] {
+    result = RunCoordinatedMine(MakeQuery(3, 6), {a.endpoint(), b.endpoint()});
+  });
 
-  StatusOr<CoordinatedMineResult> result = Status::Internal("not run");
-  std::thread coordination(
-      [&] { result = CoordinateShardedMine(options); });
-
-  // Wait until B is actually running a *real* shard — a job with a
-  // non-empty seed range, not the empty-range admission probe (killing
-  // B during planning would just drop its lane with zero retries) —
-  // then kill it. Stop() closes B's sockets before cancelling its
-  // jobs, so the coordinator observes a transport failure (never a
-  // partial result) and retries the shard on A.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  bool b_running_shard = false;
-  while (!b_running_shard && std::chrono::steady_clock::now() < deadline) {
-    for (const JobInfo& job : b.api->dispatcher().Jobs()) {
-      b_running_shard =
-          b_running_shard || (job.state == JobState::kRunning &&
-                              job.request.seed_end > job.request.seed_begin);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(b_running_shard) << "worker B never picked up a shard";
+  // Kill B once it runs a real chunk (killing it during admission would
+  // just drop it before planning, with nothing requeued). Stop() closes
+  // B's sockets before cancelling its jobs, so the coordinator observes
+  // a transport failure (never a partial result) and requeues the chunk
+  // on A.
+  ASSERT_TRUE(AwaitRunningChunk(b))
+      << "worker B never picked up a chunk";
   b.server->Stop();
 
   coordination.join();
@@ -202,73 +229,59 @@ TEST(ShardCoordinator, KilledWorkerMidShardRetriesAndStaysExact) {
   EXPECT_EQ(result->num_plexes, reference.count);
   EXPECT_EQ(result->fingerprint, reference.fingerprint);
   EXPECT_EQ(result->max_plex_size, reference.max_size);
-  EXPECT_GE(result->retries, 1u);
-  // Every shard that survived B's death completed on A.
-  for (const ShardOutcome& shard : result->shards) {
-    if (shard.attempts > 1) {
-      EXPECT_EQ(shard.endpoint, a.endpoint());
+  EXPECT_GE(result->requeues, 1u);
+  // The requeued ranges merged on A: every chunk the kill cancelled on
+  // B is covered only by outcomes from A.
+  for (const JobInfo& job : b.api->dispatcher().Jobs()) {
+    if (job.state != JobState::kCancelled ||
+        job.request.seed_end <= job.request.seed_begin) {
+      continue;
+    }
+    for (const CoordChunkOutcome& chunk : result->outcomes) {
+      if (chunk.begin < job.request.seed_end &&
+          job.request.seed_begin < chunk.end) {
+        EXPECT_EQ(chunk.endpoint, a.endpoint())
+            << "seeds " << chunk.begin << ":" << chunk.end;
+      }
     }
   }
 }
 
 TEST(ShardCoordinator, LoneEndpointDeathFailsFastInsteadOfBurningRetries) {
   // With a single endpoint configured, a transport failure has nowhere
-  // to retry: the coordination must fail immediately with a structural
-  // explanation, not redial the dead endpoint --max-attempts times.
+  // to requeue to: the job must fail with a structural explanation
+  // once the lone lane exits, not redial the dead endpoint.
   Graph graph = GenerateBarabasiAlbert(1000, 12, 9);
   Worker solo;
   ASSERT_TRUE(solo.StartWith("g", graph).ok());
 
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 3;
-  options.query.q = 6;
-  options.shards = 4;
-  options.max_attempts = 100;  // must NOT be consumed
-  options.endpoints = {solo.endpoint()};
-
-  StatusOr<CoordinatedMineResult> result = Status::Internal("not run");
+  StatusOr<CoordJobInfo> result = Status::Internal("not run");
   std::thread coordination(
-      [&] { result = CoordinateShardedMine(options); });
+      [&] { result = RunCoordinatedMine(MakeQuery(3, 6), {solo.endpoint()}); });
 
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(120);
-  bool running_shard = false;
-  while (!running_shard && std::chrono::steady_clock::now() < deadline) {
-    for (const JobInfo& job : solo.api->dispatcher().Jobs()) {
-      running_shard =
-          running_shard || (job.state == JobState::kRunning &&
-                            job.request.seed_end > job.request.seed_begin);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_TRUE(running_shard) << "the worker never picked up a shard";
+  ASSERT_TRUE(AwaitRunningChunk(solo))
+      << "the worker never picked up a chunk";
   solo.server->Stop();
 
   coordination.join();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
-  EXPECT_NE(result.status().message().find("no other endpoint is live"),
+  EXPECT_NE(result.status().message().find("every worker lane exited"),
             std::string::npos)
       << result.status().ToString();
 }
 
 TEST(ShardCoordinator, TimedOutShardNeverEntersTheMerge) {
-  // A per-shard time limit that trips leaves the job kDone with
-  // timed_out=true — a *partial* shard. The coordinator must abort the
-  // coordination, never silently merge a truncated total.
+  // A per-chunk time limit that trips leaves the job kDone with
+  // timed_out=true — a *partial* chunk. The coordinator must abort the
+  // job, never silently merge a truncated total.
   Graph graph = GenerateErdosRenyi(220, 0.08, 11);
   Worker a;
   ASSERT_TRUE(a.StartWith("g", graph).ok());
 
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 2;
-  options.query.q = 4;
-  options.query.time_limit_seconds = 1e-9;  // trips after the first seed
-  options.shards = 2;
-  options.endpoints = {a.endpoint()};
-  auto result = CoordinateShardedMine(options);
+  QueryRequest query = MakeQuery(2, 4);
+  query.time_limit_seconds = 1e-9;  // trips after the first seed
+  auto result = RunCoordinatedMine(query, {a.endpoint()});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(result.status().message().find("not a complete answer"),
@@ -281,21 +294,23 @@ TEST(ShardCoordinator, TimedOutShardNeverEntersTheMerge) {
 
 TEST(ShardCoordinator, MismatchedSnapshotIsRefusedThroughTheHash) {
   // Worker B holds different bytes under the same name: the admission
-  // check must fail the whole coordination, not merge garbage.
+  // check at planning must fail the whole job, not merge garbage.
   Worker a, b;
   ASSERT_TRUE(a.StartWith("g", GenerateErdosRenyi(220, 0.08, 11)).ok());
   ASSERT_TRUE(b.StartWith("g", GenerateErdosRenyi(220, 0.08, 12)).ok());
 
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 2;
-  options.query.q = 5;
-  options.shards = 4;
-  options.endpoints = {a.endpoint(), b.endpoint()};
-  auto result = CoordinateShardedMine(options);
+  auto result =
+      RunCoordinatedMine(MakeQuery(2, 5), {a.endpoint(), b.endpoint()});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(result.status().message().find("content hash mismatch"),
+            std::string::npos)
+      << result.status().ToString();
+  // Both sides are named, so the refusal is diagnosable from one line.
+  EXPECT_NE(result.status().message().find(a.endpoint() + " has 0x"),
+            std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find(b.endpoint() + " has 0x"),
             std::string::npos)
       << result.status().ToString();
 }
@@ -303,36 +318,24 @@ TEST(ShardCoordinator, MismatchedSnapshotIsRefusedThroughTheHash) {
 TEST(ShardCoordinator, UnknownGraphFailsStructurally) {
   Worker a;
   ASSERT_TRUE(a.StartWith("g", GenerateErdosRenyi(100, 0.1, 3)).ok());
-  ShardCoordinatorOptions options;
-  options.query.graph = "nope";
-  options.query.k = 2;
-  options.query.q = 5;
-  options.endpoints = {a.endpoint()};
-  auto result = CoordinateShardedMine(options);
+  QueryRequest query = MakeQuery(2, 5);
+  query.graph = "nope";
+  auto result = RunCoordinatedMine(query, {a.endpoint()});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
 TEST(ShardCoordinator, NoReachableWorkerIsAnIoError) {
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 2;
-  options.query.q = 5;
   // Port 1 on loopback: reliably refused.
-  options.endpoints = {"127.0.0.1:1"};
-  auto result = CoordinateShardedMine(options);
+  auto result = RunCoordinatedMine(MakeQuery(2, 5), {"127.0.0.1:1"});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST(ShardCoordinator, FpBaselineIsRejectedUpFront) {
-  ShardCoordinatorOptions options;
-  options.query.graph = "g";
-  options.query.k = 2;
-  options.query.q = 5;
-  options.query.algo = QueryAlgo::kFp;
-  options.endpoints = {"127.0.0.1:1"};
-  auto result = CoordinateShardedMine(options);
+  QueryRequest query = MakeQuery(2, 5);
+  query.algo = QueryAlgo::kFp;
+  auto result = RunCoordinatedMine(query, {"127.0.0.1:1"});
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }

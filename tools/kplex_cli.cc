@@ -5,7 +5,7 @@
 //             [--max-results N] [--time-limit S] [--ctcp]
 //             [--seed-range B:E]
 //   kplex_cli mine --endpoints host:port,... --graph NAME --k K --q Q
-//             [--shards W] [other mine options]   (coordinated, sharded)
+//             [--io-timeout S] [other mine options]   (coordinated)
 //   kplex_cli max --input G.txt --k 2
 //   kplex_cli report --input G.txt
 //   kplex_cli snapshot --input G.txt --output G.kpx [--precompute]
@@ -22,19 +22,17 @@
 // serves the same protocol (docs/SERVE.md) to TCP clients until SIGINT/
 // SIGTERM, running --script first to preload the shared catalog.
 //
-// `mine --endpoints` runs the sharded path (docs/SHARDING.md): the seed
-// space is split into --shards ranges, fanned out as `mineshard`
-// requests over framed TCP connections to the listed `serve --listen`
-// workers (--graph names the graph in *their* catalogs), and the
-// returned shard fingerprints are merged into one verified total.
+// `mine --endpoints` runs the sharded path (docs/SHARDING.md): a
+// one-shot in-process Coordinator registers the listed `serve --listen`
+// workers (--graph names the graph in *their* catalogs), plans
+// cost-balanced seed-range chunks, work-steals stragglers, and merges
+// the returned chunk fingerprints into one verified total.
 // `--seed-range B:E` instead mines one shard locally (manual runs).
 //
-// `coordinate` is the long-lived version of that coordinator (sharded
-// mining v2, docs/SHARDING.md): a daemon that owns a worker pool,
-// plans cost-balanced chunks from a `plan` probe, and work-steals
-// stragglers. `mine --coordinator H:P` submits a mine to it;
-// `coordctl` speaks any single coordinator verb (register, drain,
-// workers, jobs, ...) as one framed round trip.
+// `coordinate` is the long-lived version of that coordinator: a daemon
+// that owns the worker pool across jobs. `mine --coordinator H:P`
+// submits a mine to it; `coordctl` speaks any single coordinator verb
+// (register, drain, workers, jobs, ...) as one framed round trip.
 //
 // --dataset NAME may replace --input to mine a registry dataset.
 // Graphs are SNAP-format edge lists ('#' comments, "u v" per line) or
@@ -78,7 +76,6 @@
 #include "parallel/parallel_enumerator.h"
 #include "service/query_engine.h"
 #include "service/service_session.h"
-#include "service/shard_coordinator.h"
 #include "store/result_store.h"
 #include "service/tcp_client.h"
 #include "service/tcp_server.h"
@@ -93,7 +90,7 @@ int Usage() {
                "usage:\n"
                "  kplex_cli mine --input G.txt --k K --q Q [options]\n"
                "  kplex_cli mine --endpoints host:port,... --graph NAME\n"
-               "            --k K --q Q [--shards W] [options]\n"
+               "            --k K --q Q [--io-timeout S] [options]\n"
                "  kplex_cli max --input G.txt --k K\n"
                "  kplex_cli report --input G.txt\n"
                "  kplex_cli snapshot --input G.txt --output G.kpx\n"
@@ -127,7 +124,7 @@ int Usage() {
                "options for mine:\n"
                "  --dataset NAME    use a registry dataset instead of --input\n"
                "  --algo NAME       ours (default), ours_p, basic, listplex, fp\n"
-               "  --threads N       parallel mining with N workers\n"
+               "  --threads N       parallel mining with N workers (<= 1024)\n"
                "  --tau-ms T        straggler timeout (default 0.1; parallel only)\n"
                "  --output FILE     write k-plexes (one line each) to FILE\n"
                "  --max-results N   stop after N results\n"
@@ -139,13 +136,12 @@ int Usage() {
                "  --store DIR       durable result store: a repeat of the\n"
                "                    same mine (even from a new process) is\n"
                "                    answered from DIR without enumerating\n"
-               "options for sharded mine (--endpoints):\n"
+               "options for sharded mine (--endpoints, the one-shot\n"
+               "coordinator; a repeated endpoint is one worker):\n"
                "  --graph NAME      graph name in the workers' catalogs\n"
-               "  --shards W        seed ranges to fan out (default 4)\n"
-               "  --max-attempts N  dispatches per shard before giving up\n"
-               "  --io-timeout S    per-socket-op timeout; a hung worker\n"
-               "                    becomes a retryable failure (default:\n"
-               "                    none — set above the slowest shard)\n"
+               "  --io-timeout S    per-socket-op timeout; a hung worker is\n"
+               "                    retired and its chunk requeued (default:\n"
+               "                    none — set above the slowest chunk)\n"
                "options for query (protocol v4 selection):\n"
                "  --stream          print every plex body (streamed in\n"
                "                    bounded chunks from a remote worker)\n"
@@ -186,30 +182,19 @@ StatusOr<Graph> LoadInput(const FlagParser& flags) {
   return std::move(loaded->graph);
 }
 
-/// Splits "host:port" with a 1..65535 port (the grammar every remote
-/// command shares).
-StatusOr<std::pair<std::string, uint16_t>> SplitHostPort(
-    const std::string& endpoint) {
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    return Status::InvalidArgument("expected host:port (port 1..65535), "
-                                   "got '" + endpoint + "'");
-  }
-  return std::make_pair(endpoint.substr(0, colon),
-                        static_cast<uint16_t>(port));
+/// --threads N: 0 (sequential) up to kMaxQueryThreads; a negative or
+/// larger count is InvalidArgument.
+StatusOr<uint32_t> GetThreads(const FlagParser& flags) {
+  auto value = flags.GetInt("threads", 0);
+  if (!value.ok()) return value.status();
+  KPLEX_RETURN_IF_ERROR(CheckQueryThreads(*value));
+  return static_cast<uint32_t>(*value);
 }
 
-/// Builds the QueryRequest of a coordinated mine (v1 --endpoints or v2
-/// --coordinator) from the mine flags. The seed split stays with the
-/// coordinator, so --seed-range and the local-input flags are refused.
+/// Builds the QueryRequest of a coordinated mine (one-shot --endpoints
+/// or daemon --coordinator) from the mine flags. The seed split stays
+/// with the coordinator, so --seed-range and the local-input flags are
+/// refused.
 StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   QueryRequest query;
   query.graph = flags.GetString("graph", "");
@@ -227,7 +212,7 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   }
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = GetThreads(flags);
   auto tau = flags.GetDouble("tau-ms", 0.1);
   auto max_results = flags.GetInt("max-results", 0);
   auto time_limit = flags.GetDouble("time-limit", 0);
@@ -241,7 +226,7 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   }
   query.k = static_cast<uint32_t>(*k);
   query.q = static_cast<uint32_t>(*q);
-  query.threads = static_cast<uint32_t>(*threads);
+  query.threads = *threads;
   query.tau_ms = *tau;
   query.max_results = static_cast<uint64_t>(*max_results);
   query.time_limit_seconds = *time_limit;
@@ -255,72 +240,55 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   return query;
 }
 
-/// Coordinated sharded mine over TCP workers (docs/SHARDING.md).
+/// `mine --endpoints`: a one-shot coordinated mine over TCP workers
+/// (docs/SHARDING.md) on an in-process Coordinator with default
+/// options; only the socket timeout comes from the flags.
 int RunShardedMine(const FlagParser& flags) {
-  ShardCoordinatorOptions options;
   auto query = BuildCoordinatedMineQuery(flags);
   if (!query.ok()) {
     std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
     return 1;
   }
-  options.query = *std::move(query);
   auto endpoints = ParseEndpointList(flags.GetString("endpoints", ""));
   if (!endpoints.ok()) {
     std::fprintf(stderr, "%s\n", endpoints.status().ToString().c_str());
     return 1;
   }
-  options.endpoints = *std::move(endpoints);
-
-  auto shards = flags.GetInt("shards", 4);
-  auto max_attempts = flags.GetInt("max-attempts", 3);
   auto io_timeout = flags.GetDouble("io-timeout", 0);
-  for (const Status& s :
-       {shards.status(), max_attempts.status(), io_timeout.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*shards < 1 || *max_attempts < 1) {
-    std::fprintf(stderr, "--shards and --max-attempts must be >= 1\n");
+  if (!io_timeout.ok() || *io_timeout < 0) {
+    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  options.shards = static_cast<uint32_t>(*shards);
-  options.max_attempts = static_cast<uint32_t>(*max_attempts);
-  if (*io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be >= 0\n");
-    return 1;
-  }
+  CoordinatorOptions options;
   options.io_timeout_seconds = *io_timeout;
 
-  auto result = CoordinateShardedMine(options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  auto job = RunCoordinatedMine(*query, *endpoints, options);
+  if (!job.ok()) {
+    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
     return 1;
   }
 
-  TablePrinter table({"shard", "seeds", "worker", "attempts", "plexes",
-                      "seconds"});
-  for (const ShardOutcome& shard : result->shards) {
-    table.AddRow({std::to_string(shard.index),
-                  std::to_string(shard.begin) + ":" +
-                      std::to_string(shard.end),
-                  shard.endpoint, std::to_string(shard.attempts),
-                  FormatCount(shard.plexes), FormatSeconds(shard.seconds)});
+  TablePrinter table({"seeds", "worker", "plexes", "seconds", "stolen"});
+  for (const CoordChunkOutcome& chunk : job->outcomes) {
+    table.AddRow({std::to_string(chunk.begin) + ":" +
+                      std::to_string(chunk.end),
+                  chunk.endpoint, FormatCount(chunk.plexes),
+                  FormatSeconds(chunk.seconds), chunk.yielded ? "yes" : "-"});
   }
   table.Print(std::cout);
-  // The merged line is machine-read by tools/shard_smoke.py; keep its
-  // shape stable.
-  std::printf("coordinated mine %s k=%u q=%u: %llu plexes, max size %zu, "
-              "fingerprint 0x%016llx, hash 0x%016llx, %u shards over %zu "
-              "endpoints, %u retries, %.3fs\n",
-              options.query.graph.c_str(), options.query.k, options.query.q,
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<std::size_t>(result->max_plex_size),
-              static_cast<unsigned long long>(result->fingerprint),
-              static_cast<unsigned long long>(result->content_hash),
-              options.shards, options.endpoints.size(), result->retries,
-              result->seconds);
+  // The merged line is machine-read by tools/shard_smoke.py and
+  // tools/metrics_smoke.py; keep its shape stable.
+  std::printf("coordinated mine %s k=%u q=%u: %llu plexes, max size %llu, "
+              "fingerprint 0x%016llx, hash 0x%016llx, %llu shards over %zu "
+              "endpoints, %llu retries, %.3fs\n",
+              query->graph.c_str(), query->k, query->q,
+              static_cast<unsigned long long>(job->num_plexes),
+              static_cast<unsigned long long>(job->max_plex_size),
+              static_cast<unsigned long long>(job->fingerprint),
+              static_cast<unsigned long long>(job->content_hash),
+              static_cast<unsigned long long>(job->chunks),
+              endpoints->size(),
+              static_cast<unsigned long long>(job->requeues), job->seconds);
   return 0;
 }
 
@@ -339,15 +307,8 @@ int RunCoordinatorMine(const FlagParser& flags, const std::string& endpoint) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  auto split = SplitHostPort(endpoint);
-  if (!split.ok()) {
-    std::fprintf(stderr, "--coordinator: %s\n",
-                 split.status().ToString().c_str());
-    return 1;
-  }
-
   TcpClient client;
-  Status connected = client.Connect(split->first, split->second, *io_timeout);
+  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
   if (!connected.ok()) {
     std::fprintf(stderr, "%s\n", connected.ToString().c_str());
     return 1;
@@ -421,7 +382,7 @@ int RunStoreMine(const FlagParser& flags) {
   }
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = GetThreads(flags);
   auto tau = flags.GetDouble("tau-ms", 0.1);
   auto max_results = flags.GetInt("max-results", 0);
   auto time_limit = flags.GetDouble("time-limit", 0);
@@ -485,7 +446,7 @@ int RunStoreMine(const FlagParser& flags) {
   request.k = static_cast<uint32_t>(*k);
   request.q = static_cast<uint32_t>(*q);
   request.algo = *algo;
-  request.threads = static_cast<uint32_t>(*threads);
+  request.threads = *threads;
   request.tau_ms = *tau;
   request.max_results = static_cast<uint64_t>(*max_results);
   request.time_limit_seconds = *time_limit;
@@ -543,7 +504,7 @@ int RunMine(const FlagParser& flags) {
   const Graph& graph = loaded->graph;
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = GetThreads(flags);
   auto tau = flags.GetDouble("tau-ms", 0.1);
   auto max_results = flags.GetInt("max-results", 0);
   auto time_limit = flags.GetDouble("time-limit", 0);
@@ -619,7 +580,7 @@ int RunMine(const FlagParser& flags) {
                          static_cast<uint32_t>(*q), *sink);
   } else if (*threads > 0) {
     ParallelOptions parallel;
-    parallel.num_threads = static_cast<uint32_t>(*threads);
+    parallel.num_threads = *threads;
     parallel.timeout_ms = *tau;
     result = ParallelEnumerateMaximalKPlexes(graph, options, parallel, *sink);
   } else {
@@ -1054,11 +1015,6 @@ int RunCoordctl(const FlagParser& flags) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  auto split = SplitHostPort(positional[1]);
-  if (!split.ok()) {
-    std::fprintf(stderr, "%s\n", split.status().ToString().c_str());
-    return 1;
-  }
   std::string command = positional[2];
   for (std::size_t i = 3; i < positional.size(); ++i) {
     command += ' ';
@@ -1071,7 +1027,7 @@ int RunCoordctl(const FlagParser& flags) {
   }
 
   TcpClient client;
-  Status connected = client.Connect(split->first, split->second, *io_timeout);
+  Status connected = client.ConnectEndpoint(positional[1], *io_timeout);
   if (!connected.ok()) {
     std::fprintf(stderr, "%s\n", connected.ToString().c_str());
     return 1;
@@ -1144,25 +1100,8 @@ int RunMetrics(const FlagParser& flags) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "--endpoint must be host:port (port 1..65535), "
-                         "got '%s'\n", endpoint.c_str());
-    return 1;
-  }
-
   TcpClient client;
-  Status connected =
-      client.Connect(endpoint.substr(0, colon),
-                     static_cast<uint16_t>(port), *io_timeout);
+  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
   if (!connected.ok()) {
     std::fprintf(stderr, "%s\n", connected.ToString().c_str());
     return 1;
@@ -1256,7 +1195,7 @@ StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
   query.graph = graph;
   auto k = flags.GetInt("k", 2);
   auto q = flags.GetInt("q", 0);
-  auto threads = flags.GetInt("threads", 0);
+  auto threads = GetThreads(flags);
   auto max_results = flags.GetInt("max-results", 0);
   auto time_limit = flags.GetDouble("time-limit", 0);
   auto chunk = flags.GetInt("chunk", 0);
@@ -1276,7 +1215,7 @@ StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
   }
   query.k = static_cast<uint32_t>(*k);
   query.q = static_cast<uint32_t>(*q);
-  query.threads = static_cast<uint32_t>(*threads);
+  query.threads = *threads;
   query.max_results = static_cast<uint64_t>(*max_results);
   query.time_limit_seconds = *time_limit;
   query.use_ctcp = flags.Has("ctcp");
@@ -1338,24 +1277,8 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
     std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
     return 1;
   }
-  const std::size_t colon = endpoint.rfind(':');
-  uint32_t port = 0;
-  if (colon != std::string::npos && colon > 0 && colon + 1 < endpoint.size()) {
-    for (std::size_t i = colon + 1; i < endpoint.size(); ++i) {
-      const char c = endpoint[i];
-      if (c < '0' || c > '9' || port > 65535) { port = 0; break; }
-      port = port * 10 + static_cast<uint32_t>(c - '0');
-    }
-  }
-  if (port < 1 || port > 65535) {
-    std::fprintf(stderr, "--endpoint must be host:port (port 1..65535), "
-                         "got '%s'\n", endpoint.c_str());
-    return 1;
-  }
-
   TcpClient client;
-  Status connected = client.Connect(endpoint.substr(0, colon),
-                                    static_cast<uint16_t>(port), *io_timeout);
+  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
   if (!connected.ok()) {
     std::fprintf(stderr, "%s\n", connected.ToString().c_str());
     return 1;
@@ -1567,7 +1490,7 @@ int Main(int argc, char** argv) {
   if (command == "mine") {
     known = {"input", "dataset", "k", "q", "algo", "threads", "tau-ms",
              "output", "max-results", "time-limit", "ctcp", "seed-range",
-             "endpoints", "graph", "shards", "max-attempts", "io-timeout",
+             "endpoints", "graph", "io-timeout",
              "coordinator", "store", "store-budget-mb"};
     run = RunMine;
   } else if (command == "max") {

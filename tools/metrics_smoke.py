@@ -2,8 +2,8 @@
 """Observability smoke test: boots `kplex_cli serve --listen`, drives
 real traffic through it, and asserts the metrics surface reports that
 traffic in all three forms — text table, Prometheus exposition, and the
-framed-JSON `metrics` verb — plus the coordinator-side shard metrics
-via `--metrics-dump`.
+framed-JSON `metrics` verb — plus the coordinator-side metrics of a
+one-shot coordinated mine via `--metrics-dump`.
 
 Usage: metrics_smoke.py path/to/kplex_cli
 
@@ -16,9 +16,11 @@ Checks (any failure exits non-zero):
      Prometheus text format (counter samples, histogram _bucket/_count);
   3. `kplex_cli metrics --endpoint` renders all three --format modes;
   4. a coordinated mine against the live worker plus a fake worker that
-     drops its connection mid-shard completes correctly anyway, and the
-     coordinator's `--metrics-dump` shows kplex_shard_retries_total >= 1
-     and a non-empty kplex_shard_seconds histogram;
+     passes admission and then drops its lane at the first chunk
+     completes correctly anyway, and the coordinator's `--metrics-dump`
+     shows kplex_coord_requeues_total >= 1,
+     kplex_coord_workers_left_total >= 1 and a non-empty
+     kplex_coord_chunk_seconds histogram;
   5. the server still shuts down cleanly on SIGTERM (exit 0).
 """
 
@@ -107,47 +109,56 @@ def prom_samples(lines):
 
 
 class FakeWorker(threading.Thread):
-    """A sharding worker that answers the planning probe with the right
-    content hash, then drops the connection on its first real shard —
-    forcing the coordinator down the retry path."""
+    """A coordination worker (protocol >= 5) that passes admission and
+    then fails its chunk. The coordinator opens two connections to it,
+    one after the other: the admission probe (an empty-range mineshard,
+    answered with the right content hash) and the lane, which the fake
+    drops at its first `shardsubmit` — forcing the coordinator to
+    requeue that chunk on the live worker and retire this one."""
 
     def __init__(self, content_hash):
         super().__init__(daemon=True)
         self.content_hash = content_hash
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.bind(("127.0.0.1", 0))
-        self.listener.listen(1)
+        self.listener.listen(2)
         self.listener.settimeout(60)
         self.port = self.listener.getsockname()[1]
 
+    def serve(self, conn):
+        file = conn.makefile("rw", encoding="utf-8", newline="\n")
+        for line in file:
+            if line.startswith("hello"):
+                file.write('{"id":0,"ok":true,"type":"hello","proto":6,'
+                           '"mode":"framed"}\n')
+            else:
+                request = json.loads(line)
+                if request.get("cmd") != "mineshard":
+                    return  # the lane's first shardsubmit: drop it
+                file.write(json.dumps({
+                    "id": request.get("id", 1), "ok": True,
+                    "type": "shard_result", "state": "done",
+                    "content_hash": self.content_hash}) + "\n")
+            file.flush()
+
     def run(self):
         try:
-            conn, _ = self.listener.accept()
-        except OSError:
-            return
-        conn.settimeout(60)
-        try:
-            file = conn.makefile("rw", encoding="utf-8", newline="\n")
-            file.readline()  # "hello proto=2 mode=framed"
-            file.write('{"id":0,"ok":true,"type":"hello","proto":2,'
-                       '"mode":"framed"}\n')
-            file.flush()
-            probe = json.loads(file.readline())
-            file.write(json.dumps({
-                "id": probe.get("id", 1), "ok": True, "type": "shard_result",
-                "state": "done", "content_hash": self.content_hash}) + "\n")
-            file.flush()
-            file.readline()  # the first real shard: never answered
+            for _ in ("probe", "lane"):
+                conn, _ = self.listener.accept()
+                conn.settimeout(60)
+                try:
+                    self.serve(conn)
+                finally:
+                    conn.close()
         except OSError:
             pass
         finally:
-            conn.close()
             self.listener.close()
 
 
 def coordinated_mine(cli, endpoints, metrics_dump=False):
     argv = [cli, "mine", "--endpoints", ",".join(endpoints),
-            "--graph", "kc", "--k", "2", "--q", "6", "--shards", "4"]
+            "--graph", "kc", "--k", "2", "--q", "6"]
     if metrics_dump:
         argv.append("--metrics-dump")
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
@@ -263,7 +274,7 @@ def main():
 
         # 4. Coordinator metrics: first a clean run to learn the graph's
         # content hash, then a run with a fake worker that drops its
-        # connection mid-shard, forcing a retry the --metrics-dump
+        # lane at its first chunk, forcing a requeue the --metrics-dump
         # output must account for.
         clean = coordinated_mine(cli, [endpoint])
         if clean.returncode != 0:
@@ -274,8 +285,8 @@ def main():
             fail(f"cannot find content hash in: {clean.stdout!r}")
         content_hash = match.group(1)
 
-        retried = None
-        for _ in range(3):
+        requeued = None
+        for _ in range(5):
             fake = FakeWorker(content_hash)
             fake.start()
             run = coordinated_mine(
@@ -283,28 +294,26 @@ def main():
                 metrics_dump=True)
             fake.join(timeout=60)
             if run.returncode != 0:
-                fail(f"retry-path coordinated mine: rc={run.returncode} "
+                fail(f"requeue-path coordinated mine: rc={run.returncode} "
                      f"{run.stdout!r} {run.stderr!r}")
             dump = prom_samples(run.stderr.splitlines())
-            # The fake lane almost always pops a shard before the live
-            # lane drains the queue; retry the attempt if it lost that
-            # race and the run went through without a retry.
-            if dump.get("kplex_shard_retries_total", 0) >= 1:
-                retried = (run, dump)
+            # The fake lane usually pops a chunk before the live lane
+            # drains the queue; retry the attempt if it lost that race
+            # and the run went through without a requeue.
+            if dump.get("kplex_coord_requeues_total", 0) >= 1:
+                requeued = (run, dump)
                 break
-        if retried is None:
-            fail("no attempt produced a shard retry")
-        run, dump = retried
+        if requeued is None:
+            fail("no attempt produced a chunk requeue")
+        run, dump = requeued
         if "1 plexes" not in run.stdout:
-            fail(f"retried mine result drifted: {run.stdout!r}")
-        if dump.get("kplex_shard_attempts_total", 0) < 5:
-            fail(f"shard attempts: {dump.get('kplex_shard_attempts_total')}")
-        if dump.get("kplex_shard_transport_failures_total", 0) < 1:
-            fail("transport failure was not counted")
-        if dump.get("kplex_shard_seconds_count", 0) < 4:
-            fail(f"shard histogram count: "
-                 f"{dump.get('kplex_shard_seconds_count')}")
-        print("metrics_smoke: shard retry accounted for in --metrics-dump")
+            fail(f"requeued mine result drifted: {run.stdout!r}")
+        if dump.get("kplex_coord_workers_left_total", 0) < 1:
+            fail("the dropped worker was not counted as left")
+        if dump.get("kplex_coord_chunk_seconds_count", 0) < 1:
+            fail(f"chunk histogram count: "
+                 f"{dump.get('kplex_coord_chunk_seconds_count')}")
+        print("metrics_smoke: chunk requeue accounted for in --metrics-dump")
 
         server.send_signal(signal.SIGTERM)
         try:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Sharded-mining smoke test: boots TWO `kplex_cli serve --listen`
-worker processes, runs a coordinated 4-shard mine through the CLI
+worker processes, runs a coordinated mine through the CLI's one-shot
 coordinator, and asserts the merged result is byte-identical to a
 single-process run — on two datasets.
 
@@ -11,8 +11,8 @@ Checks (any failure exits non-zero):
      hash);
   2. a framed single-process `mine` on worker A yields the reference
      plex count, max size, and fingerprint;
-  3. `kplex_cli mine --endpoints A,B --shards 4` reports exactly that
-     count, max size, and fingerprint (and the workers' content hash);
+  3. `kplex_cli mine --endpoints A,B` reports exactly that count, max
+     size, and fingerprint (and the workers' content hash);
   4. a mismatched-snapshot coordination is refused through the hash
      admission check (worker C holds a different graph);
   5. both workers shut down cleanly on SIGTERM (exit 0).
@@ -85,13 +85,11 @@ def reference_mine(port, graph, k, q):
             response["fingerprint"])
 
 
-def coordinated_mine(cli, endpoints, graph, k, q, shards=4):
-    run = subprocess.run(
+def coordinated_mine(cli, endpoints, graph, k, q):
+    return subprocess.run(
         [cli, "mine", "--endpoints", ",".join(endpoints),
-         "--graph", graph, "--k", str(k), "--q", str(q),
-         "--shards", str(shards)],
+         "--graph", graph, "--k", str(k), "--q", str(q)],
         capture_output=True, text=True, timeout=300)
-    return run
 
 
 def main():
@@ -143,7 +141,7 @@ def main():
             if got_fingerprint != fingerprint:
                 fail(f"{graph}: merged fingerprint {got_fingerprint} != "
                      f"single-process {fingerprint}")
-            print(f"shard_smoke: {graph}: 4 shards over 2 workers == "
+            print(f"shard_smoke: {graph}: coordinated over 2 workers == "
                   f"single process ({plexes} plexes, {fingerprint})")
 
         # Mismatched snapshot: worker C holds different bytes under the
