@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -859,18 +858,12 @@ Codec<T> UintCodec(uint64_t max = std::numeric_limits<T>::max(),
           }};
 }
 
-/// A duration: time-limit (seconds) or tau-ms (milliseconds). The
-/// engines turn it into an integer nanosecond deadline, so anything not
-/// finite or outside [0, 1e6] is refused.
+/// A duration: time-limit (seconds) or tau-ms (milliseconds), held to
+/// CheckQueryDuration's range.
 Codec<double> DurationCodec() {
   auto check = [](const std::string& key,
                   StatusOr<double> value) -> StatusOr<double> {
-    if (value.ok() &&
-        !(std::isfinite(*value) && *value >= 0 && *value <= 1e6)) {
-      return Status::InvalidArgument(
-          key + " must be a finite number in [0, 1000000], got '" +
-          CompactDouble(*value) + "'");
-    }
+    if (value.ok()) KPLEX_RETURN_IF_ERROR(CheckQueryDuration(key, *value));
     return value;
   };
   return {[=](const std::string& key, const std::string& text) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <utility>
 
 #include "baselines/fp.h"
@@ -142,8 +144,22 @@ Status CheckQueryThreads(int64_t threads) {
   return Status::Ok();
 }
 
+Status CheckQueryDuration(const std::string& key, double value) {
+  if (!(std::isfinite(value) && value >= 0 && value <= kMaxQueryDuration)) {
+    char text[40];
+    std::snprintf(text, sizeof(text), "%.12g", value);
+    return Status::InvalidArgument(
+        key + " must be a finite number in [0, 1000000], got '" + text +
+        "'");
+  }
+  return Status::Ok();
+}
+
 StatusOr<QueryResult> QueryEngine::Run(const QueryRequest& request) {
   KPLEX_RETURN_IF_ERROR(CheckQueryThreads(request.threads));
+  KPLEX_RETURN_IF_ERROR(CheckQueryDuration("tau-ms", request.tau_ms));
+  KPLEX_RETURN_IF_ERROR(
+      CheckQueryDuration("time-limit", request.time_limit_seconds));
   WallTimer timer;
   const uint64_t trace_id =
       request.trace_id != 0 ? request.trace_id : NextTraceId();

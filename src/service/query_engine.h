@@ -58,6 +58,15 @@ inline constexpr uint32_t kMaxQueryThreads = 1024;
 /// InvalidArgument unless 0 <= threads <= kMaxQueryThreads.
 Status CheckQueryThreads(int64_t threads);
 
+/// Upper bound on a query duration: time-limit (seconds) and tau-ms
+/// (milliseconds). The engines turn both into integer nanosecond
+/// deadlines, which a larger or non-finite value would overflow.
+inline constexpr double kMaxQueryDuration = 1e6;
+
+/// InvalidArgument unless `value` is finite and in [0, kMaxQueryDuration].
+/// `key` names the field ("time-limit", "tau-ms") in the message.
+Status CheckQueryDuration(const std::string& key, double value);
+
 struct QueryRequest {
   std::string graph;  ///< catalog name
   uint32_t k = 2;

@@ -9,7 +9,7 @@
 // cache-line/AVX-512-friendly boundary.
 //
 // Rows present as BitSpan views, so they flow straight into the
-// dispatched kernels of util/bitset_kernels.h. Invariant: bits at
+// word-loop kernels of util/bitset_kernels.h. Invariant: bits at
 // column >= cols() and the padding words between ceil(cols/64) and the
 // stride are zero — Set/Reset assert the column range in debug builds.
 
@@ -43,13 +43,13 @@ struct MutableBitSpan {
   bool Test(std::size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
 
   void AndWith(BitSpan o) {
-    kernels::Active().and_into(words, o.words, num_words());
+    kernels::AndInto(words, o.words, num_words());
   }
   void OrWith(BitSpan o) {
-    kernels::Active().or_into(words, o.words, num_words());
+    kernels::OrInto(words, o.words, num_words());
   }
   void AndNotWith(BitSpan o) {
-    kernels::Active().andnot_into(words, o.words, num_words());
+    kernels::AndNotInto(words, o.words, num_words());
   }
 };
 

@@ -2,27 +2,20 @@
 //
 // Every hot operation of the mining engine — intersection popcounts,
 // subset tests, masked iteration over adjacency rows — bottoms out in a
-// loop over 64-bit words. This header centralizes those loops behind a
-// table of function pointers (`KernelTable`) so one process-wide
-// dispatch decision, made once at startup, selects between:
+// loop over 64-bit words. The loops live here as inline functions so
+// each call site compiles them in place; seed-graph bitsets are only a
+// few words wide, so anything wider than one word per step (SIMD lanes,
+// an indirect call per operation) cannot pay for itself.
 //
-//   portable  plain word loops (std::popcount); always available, and
-//             the reference implementation every variant must match
-//             bit-for-bit (tests/bitset_kernels_test.cc),
-//   avx2      256-bit lanes with vpshufb nibble-LUT popcounts, compiled
-//             into its own TU with -mavx2 and used only when the CPU
-//             reports AVX2 support,
-//   neon      128-bit lanes via vcntq_u8 on aarch64.
+// Popcounts go through std::popcount. The build compiles every kplex
+// target with -mpopcnt on x86-64 (see CMakeLists.txt), so that is one
+// POPCNT instruction per word rather than a libgcc __popcountdi2 call;
+// aarch64 gets `cnt` with no flag.
 //
-// Compiling with -DKPLEX_NO_SIMD (CMake option KPLEX_NO_SIMD) pins the
-// dispatch to `portable`, as does the runtime escape hatch
-// KPLEX_SIMD=off in the environment. The selected ISA is exported as
-// the `kplex_simd_dispatch` gauge (docs/OBSERVABILITY.md).
-//
-// Preconditions shared by every table entry: operand arrays hold
-// exactly `words` 64-bit words, and bits past a span's logical size are
-// zero (the trailing-slack invariant DynamicBitset and BitMatrix
-// maintain). Callers pass equal word counts; the kernels do not check.
+// Preconditions shared by every kernel: operand arrays hold exactly
+// `words` 64-bit words, and bits past a span's logical size are zero
+// (the trailing-slack invariant DynamicBitset and BitMatrix maintain).
+// Callers pass equal word counts; the kernels do not check.
 
 #ifndef KPLEX_UTIL_BITSET_KERNELS_H_
 #define KPLEX_UTIL_BITSET_KERNELS_H_
@@ -35,59 +28,87 @@
 namespace kplex {
 namespace kernels {
 
-struct KernelTable {
-  const char* name;  // "portable", "avx2", "neon"
-  int level;         // 0 portable, 1 avx2, 2 neon (kplex_simd_dispatch)
-
-  std::size_t (*count)(const uint64_t* a, std::size_t words);
-  std::size_t (*and_count)(const uint64_t* a, const uint64_t* b,
-                           std::size_t words);
-  std::size_t (*and_count3)(const uint64_t* a, const uint64_t* b,
-                            const uint64_t* c, std::size_t words);
-  std::size_t (*andnot_count)(const uint64_t* a, const uint64_t* b,
-                              std::size_t words);
-  void (*and_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*or_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*andnot_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  void (*xor_into)(uint64_t* dst, const uint64_t* src, std::size_t words);
-  bool (*subset)(const uint64_t* a, const uint64_t* b,
-                 std::size_t words);  // every set bit of a also set in b
-  bool (*intersects)(const uint64_t* a, const uint64_t* b,
-                     std::size_t words);  // (a & b) != 0
+/// Names the popcount the kernels were compiled with, for the
+/// benchmark's host line (perfbench/bench_util.cc). Nothing is selected
+/// at run time.
+struct KernelBuild {
+  const char* name;  // "popcnt" or "portable"
 };
 
-/// The reference word-loop table; always available.
-const KernelTable& Portable();
+constexpr KernelBuild Active() {
+#if defined(__POPCNT__)
+  return {"popcnt"};
+#else
+  return {"portable"};
+#endif
+}
 
-/// The best table for this machine: AVX2/NEON when compiled in and
-/// supported, otherwise portable. Honors KPLEX_NO_SIMD and KPLEX_SIMD=off.
-const KernelTable& Dispatched();
+// ---- counting, materializing and predicate word loops ------------------
 
-namespace internal {
-// Constant-initialized to the portable table so pre-main callers are
-// safe; upgraded to Dispatched() by a dynamic initializer in
-// bitset_kernels.cc (results are bit-identical either way).
-extern const KernelTable* active;
-}  // namespace internal
+inline std::size_t Count(const uint64_t* a, std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += std::popcount(a[i]);
+  return c;
+}
 
-/// The table the process is currently routing through.
-inline const KernelTable& Active() { return *internal::active; }
+inline std::size_t AndCount(const uint64_t* a, const uint64_t* b,
+                            std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += std::popcount(a[i] & b[i]);
+  return c;
+}
 
-/// Test hook: force a specific table (e.g. &Portable() to pin the
-/// baseline path); nullptr restores Dispatched(). Not thread-safe —
-/// call only from single-threaded test setup.
-void SetActiveForTest(const KernelTable* table);
+inline std::size_t AndCount3(const uint64_t* a, const uint64_t* b,
+                             const uint64_t* c, std::size_t words) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < words; ++i) {
+    n += std::popcount(a[i] & b[i] & c[i]);
+  }
+  return n;
+}
 
-/// Name / level of the startup dispatch decision (independent of any
-/// SetActiveForTest override).
-const char* DispatchedName();
-int DispatchedLevel();
+inline std::size_t AndNotCount(const uint64_t* a, const uint64_t* b,
+                               std::size_t words) {
+  std::size_t c = 0;
+  for (std::size_t i = 0; i < words; ++i) c += std::popcount(a[i] & ~b[i]);
+  return c;
+}
+
+inline void AndInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] &= src[i];
+}
+
+inline void OrInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] |= src[i];
+}
+
+inline void AndNotInto(uint64_t* dst, const uint64_t* src,
+                       std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] &= ~src[i];
+}
+
+inline void XorInto(uint64_t* dst, const uint64_t* src, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) dst[i] ^= src[i];
+}
+
+/// True iff every set bit of a is also set in b.
+inline bool Subset(const uint64_t* a, const uint64_t* b, std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] & ~b[i]) return false;
+  }
+  return true;
+}
+
+/// True iff (a & b) != 0.
+inline bool Intersects(const uint64_t* a, const uint64_t* b,
+                       std::size_t words) {
+  for (std::size_t i = 0; i < words; ++i) {
+    if (a[i] & b[i]) return true;
+  }
+  return false;
+}
 
 // ---- find-next / for-each word iteration -------------------------------
-//
-// Bit-iteration stays header-inline: the ctz-and-clear loop is already
-// optimal scalar code and the per-bit callback cannot cross a C
-// function-pointer boundary without losing inlining.
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
@@ -166,35 +187,34 @@ struct BitSpan {
   bool Test(std::size_t i) const { return (words[i >> 6] >> (i & 63)) & 1; }
 
   std::size_t Count() const {
-    return kernels::Active().count(words, num_words());
+    return kernels::Count(words, num_words());
   }
 
   std::size_t AndCount(BitSpan o) const {
-    return kernels::Active().and_count(words, o.words, num_words());
+    return kernels::AndCount(words, o.words, num_words());
   }
 
   std::size_t AndCount3(BitSpan b, BitSpan c) const {
-    return kernels::Active().and_count3(words, b.words, c.words, num_words());
+    return kernels::AndCount3(words, b.words, c.words, num_words());
   }
 
   /// popcount(this & o) over the first `word_limit` words only (the
   /// vi_words prefix optimization of the seed-graph layout).
   std::size_t AndCountLimit(BitSpan o, std::size_t word_limit) const {
     const std::size_t nw = num_words();
-    return kernels::Active().and_count(words, o.words,
-                                       word_limit < nw ? word_limit : nw);
+    return kernels::AndCount(words, o.words, word_limit < nw ? word_limit : nw);
   }
 
   std::size_t AndNotCount(BitSpan o) const {
-    return kernels::Active().andnot_count(words, o.words, num_words());
+    return kernels::AndNotCount(words, o.words, num_words());
   }
 
   bool Intersects(BitSpan o) const {
-    return kernels::Active().intersects(words, o.words, num_words());
+    return kernels::Intersects(words, o.words, num_words());
   }
 
   bool IsSubsetOf(BitSpan o) const {
-    return kernels::Active().subset(words, o.words, num_words());
+    return kernels::Subset(words, o.words, num_words());
   }
 
   bool Any() const {

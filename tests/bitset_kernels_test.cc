@@ -1,20 +1,13 @@
-// Equivalence tests for the SIMD bitset-kernel dispatch: every entry of
-// the dispatched table must agree bit-for-bit with the portable word
-// loops on operands crossing word and vector-lane boundaries, and an
-// end-to-end enumeration must produce an identical fingerprint whether
-// it runs on the baseline or the dispatched kernels. Also covers the
-// BitMatrix flat layout (row alignment, padding invariant, value
+// Checks of the inline bitset word loops (util/bitset_kernels.h)
+// against a per-bit reference on operands crossing word boundaries, and
+// of the BitMatrix flat layout (row alignment, padding invariant, value
 // semantics).
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/enumerator.h"
-#include "core/sink.h"
-#include "graph/generators.h"
 #include "util/bit_matrix.h"
 #include "util/bitset.h"
 #include "util/bitset_kernels.h"
@@ -24,7 +17,7 @@ namespace kplex {
 namespace {
 
 // Bit sizes straddling the interesting boundaries: empty, single word,
-// word edges, 256-bit AVX2 lane edges, and an odd large size.
+// word edges, four-word edges, and an odd large size.
 constexpr std::size_t kSizes[] = {0, 1, 63, 64, 65, 255, 256, 1000};
 
 // Random word array for `bits` bits with the trailing slack zeroed, as
@@ -43,24 +36,37 @@ std::vector<uint64_t> RandomBits(std::size_t bits, Rng& rng, double density) {
   return words;
 }
 
-TEST(BitsetKernels, DispatchedTableIsSane) {
-  const kernels::KernelTable& dispatched = kernels::Dispatched();
-  EXPECT_NE(dispatched.name, nullptr);
-  EXPECT_GE(dispatched.level, 0);
-  EXPECT_LE(dispatched.level, 2);
-  EXPECT_STREQ(kernels::DispatchedName(), dispatched.name);
-  EXPECT_EQ(kernels::DispatchedLevel(), dispatched.level);
-#ifdef KPLEX_NO_SIMD
-  EXPECT_EQ(dispatched.level, 0);
-  EXPECT_STREQ(dispatched.name, "portable");
-#endif
-  EXPECT_STREQ(kernels::Portable().name, "portable");
-  EXPECT_EQ(kernels::Portable().level, 0);
+// ---- per-bit reference ---------------------------------------------------
+//
+// The oracle reads and writes one bit at a time, so it shares no word
+// arithmetic or popcount with the kernels under test.
+
+bool BitAt(const std::vector<uint64_t>& w, std::size_t i) {
+  return (w[i >> 6] >> (i & 63)) & 1;
 }
 
+template <typename Pred>
+std::size_t CountBitsWhere(std::size_t words, Pred pred) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < words * 64; ++i) n += pred(i) ? 1 : 0;
+  return n;
+}
+
+template <typename Op>
+std::vector<uint64_t> MapBits(const std::vector<uint64_t>& dst,
+                              const std::vector<uint64_t>& src, Op op) {
+  std::vector<uint64_t> out(dst.size(), 0);
+  for (std::size_t i = 0; i < dst.size() * 64; ++i) {
+    if (op(BitAt(dst, i), BitAt(src, i))) {
+      out[i >> 6] |= uint64_t{1} << (i & 63);
+    }
+  }
+  return out;
+}
+
+// "Portable" in these names is the inline word-loop implementation;
+// each test checks it against the per-bit reference above.
 TEST(BitsetKernels, CountKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
   Rng rng(7);
   for (std::size_t bits : kSizes) {
     for (double density : {0.1, 0.5, 1.0}) {
@@ -69,16 +75,25 @@ TEST(BitsetKernels, CountKernelsMatchPortable) {
         const auto b = RandomBits(bits, rng, density);
         const auto c = RandomBits(bits, rng, density);
         const std::size_t words = a.size();
-        EXPECT_EQ(d.count(a.data(), words), p.count(a.data(), words))
+        EXPECT_EQ(kernels::Count(a.data(), words),
+                  CountBitsWhere(words, [&](std::size_t i) {
+                    return BitAt(a, i);
+                  }))
             << "count bits=" << bits;
-        EXPECT_EQ(d.and_count(a.data(), b.data(), words),
-                  p.and_count(a.data(), b.data(), words))
+        EXPECT_EQ(kernels::AndCount(a.data(), b.data(), words),
+                  CountBitsWhere(words, [&](std::size_t i) {
+                    return BitAt(a, i) && BitAt(b, i);
+                  }))
             << "and_count bits=" << bits;
-        EXPECT_EQ(d.and_count3(a.data(), b.data(), c.data(), words),
-                  p.and_count3(a.data(), b.data(), c.data(), words))
+        EXPECT_EQ(kernels::AndCount3(a.data(), b.data(), c.data(), words),
+                  CountBitsWhere(words, [&](std::size_t i) {
+                    return BitAt(a, i) && BitAt(b, i) && BitAt(c, i);
+                  }))
             << "and_count3 bits=" << bits;
-        EXPECT_EQ(d.andnot_count(a.data(), b.data(), words),
-                  p.andnot_count(a.data(), b.data(), words))
+        EXPECT_EQ(kernels::AndNotCount(a.data(), b.data(), words),
+                  CountBitsWhere(words, [&](std::size_t i) {
+                    return BitAt(a, i) && !BitAt(b, i);
+                  }))
             << "andnot_count bits=" << bits;
       }
     }
@@ -86,41 +101,36 @@ TEST(BitsetKernels, CountKernelsMatchPortable) {
 }
 
 TEST(BitsetKernels, MaterializingKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
   Rng rng(8);
   using IntoFn = void (*)(uint64_t*, const uint64_t*, std::size_t);
-  struct Pair {
+  using BitOp = bool (*)(bool, bool);
+  struct Case {
     const char* what;
-    IntoFn portable;
-    IntoFn dispatched;
+    IntoFn kernel;
+    BitOp reference;
   };
-  const Pair pairs[] = {
-      {"and_into", p.and_into, d.and_into},
-      {"or_into", p.or_into, d.or_into},
-      {"andnot_into", p.andnot_into, d.andnot_into},
-      {"xor_into", p.xor_into, d.xor_into},
+  const Case cases[] = {
+      {"and_into", kernels::AndInto, [](bool d, bool s) { return d && s; }},
+      {"or_into", kernels::OrInto, [](bool d, bool s) { return d || s; }},
+      {"andnot_into", kernels::AndNotInto,
+       [](bool d, bool s) { return d && !s; }},
+      {"xor_into", kernels::XorInto, [](bool d, bool s) { return d != s; }},
   };
   for (std::size_t bits : kSizes) {
     for (int round = 0; round < 8; ++round) {
       const auto dst0 = RandomBits(bits, rng, 0.5);
       const auto src = RandomBits(bits, rng, 0.5);
-      for (const Pair& pair : pairs) {
-        auto via_portable = dst0;
-        auto via_dispatched = dst0;
-        pair.portable(via_portable.data(), src.data(), via_portable.size());
-        pair.dispatched(via_dispatched.data(), src.data(),
-                        via_dispatched.size());
-        EXPECT_EQ(via_portable, via_dispatched)
-            << pair.what << " bits=" << bits;
+      for (const Case& c : cases) {
+        auto via_kernel = dst0;
+        c.kernel(via_kernel.data(), src.data(), via_kernel.size());
+        EXPECT_EQ(via_kernel, MapBits(dst0, src, c.reference))
+            << c.what << " bits=" << bits;
       }
     }
   }
 }
 
 TEST(BitsetKernels, PredicateKernelsMatchPortable) {
-  const kernels::KernelTable& p = kernels::Portable();
-  const kernels::KernelTable& d = kernels::Dispatched();
   Rng rng(9);
   for (std::size_t bits : kSizes) {
     for (int round = 0; round < 16; ++round) {
@@ -132,43 +142,32 @@ TEST(BitsetKernels, PredicateKernelsMatchPortable) {
         for (std::size_t i = 0; i < a.size(); ++i) a[i] &= b[i];
       }
       const std::size_t words = a.size();
-      EXPECT_EQ(d.subset(a.data(), b.data(), words),
-                p.subset(a.data(), b.data(), words))
+      const bool subset = CountBitsWhere(words, [&](std::size_t i) {
+                            return BitAt(a, i) && !BitAt(b, i);
+                          }) == 0;
+      const bool intersects = CountBitsWhere(words, [&](std::size_t i) {
+                                return BitAt(a, i) && BitAt(b, i);
+                              }) != 0;
+      EXPECT_EQ(kernels::Subset(a.data(), b.data(), words), subset)
           << "subset bits=" << bits << " round=" << round;
-      EXPECT_EQ(d.intersects(a.data(), b.data(), words),
-                p.intersects(a.data(), b.data(), words))
+      EXPECT_EQ(kernels::Intersects(a.data(), b.data(), words), intersects)
           << "intersects bits=" << bits << " round=" << round;
     }
   }
 }
 
 TEST(BitsetKernels, SubsetAndIntersectsEdgeCases) {
-  const kernels::KernelTable& d = kernels::Dispatched();
   // Empty spans: vacuous subset, no intersection.
-  EXPECT_TRUE(d.subset(nullptr, nullptr, 0));
-  EXPECT_FALSE(d.intersects(nullptr, nullptr, 0));
-  // A difference only in the last word of a multi-lane operand.
+  EXPECT_TRUE(kernels::Subset(nullptr, nullptr, 0));
+  EXPECT_FALSE(kernels::Intersects(nullptr, nullptr, 0));
+  // A difference only in the last word of a multi-word operand.
   std::vector<uint64_t> a(16, 0), b(16, 0);
   a[15] = uint64_t{1} << 63;
-  EXPECT_FALSE(d.subset(a.data(), b.data(), a.size()));
-  EXPECT_FALSE(d.intersects(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(kernels::Subset(a.data(), b.data(), a.size()));
+  EXPECT_FALSE(kernels::Intersects(a.data(), b.data(), a.size()));
   b[15] = a[15];
-  EXPECT_TRUE(d.subset(a.data(), b.data(), a.size()));
-  EXPECT_TRUE(d.intersects(a.data(), b.data(), a.size()));
-}
-
-TEST(BitsetKernels, SetActiveForTestPinsAndRestores) {
-  const kernels::KernelTable& before = kernels::Active();
-  kernels::SetActiveForTest(&kernels::Portable());
-  EXPECT_EQ(&kernels::Active(), &kernels::Portable());
-  DynamicBitset a(130), b(130);
-  a.Set(0);
-  a.Set(129);
-  b.Set(129);
-  EXPECT_EQ(a.AndCount(b), 1u);
-  kernels::SetActiveForTest(nullptr);
-  EXPECT_EQ(&kernels::Active(), &kernels::Dispatched());
-  EXPECT_EQ(&kernels::Active(), &before);  // tests start on Dispatched()
+  EXPECT_TRUE(kernels::Subset(a.data(), b.data(), a.size()));
+  EXPECT_TRUE(kernels::Intersects(a.data(), b.data(), a.size()));
 }
 
 // ---- BitMatrix -----------------------------------------------------------
@@ -259,32 +258,6 @@ TEST(BitMatrix, RowSpanComposesWithDynamicBitset) {
   DynamicBitset scratch = mask;
   scratch.AndWith(m.Row(0));
   EXPECT_EQ(scratch.Count(), 34u);
-}
-
-// ---- end-to-end: baseline and dispatched enumerate identically ----------
-
-uint64_t FingerprintWithTable(const Graph& g, const EnumOptions& options,
-                              const kernels::KernelTable* table) {
-  kernels::SetActiveForTest(table);
-  HashingSink sink;
-  auto result = EnumerateMaximalKPlexes(g, options, sink);
-  kernels::SetActiveForTest(nullptr);
-  EXPECT_TRUE(result.ok());
-  return sink.fingerprint();
-}
-
-TEST(BitsetKernels, EnumerationFingerprintMatchesAcrossTables) {
-  const Graph g = GenerateBarabasiAlbert(300, 8, 13);
-  for (auto [k, q] : {std::pair<uint32_t, uint32_t>{2, 6},
-                      std::pair<uint32_t, uint32_t>{3, 8}}) {
-    const EnumOptions options = EnumOptions::Ours(k, q);
-    const uint64_t baseline =
-        FingerprintWithTable(g, options, &kernels::Portable());
-    const uint64_t dispatched =
-        FingerprintWithTable(g, options, &kernels::Dispatched());
-    EXPECT_EQ(baseline, dispatched) << "k=" << k << " q=" << q;
-    EXPECT_NE(baseline, 0u);  // the workload actually produced plexes
-  }
 }
 
 }  // namespace

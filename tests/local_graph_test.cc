@@ -6,7 +6,6 @@
 
 #include "graph/builder.h"
 #include "graph/subgraph.h"
-#include "util/bitset_kernels.h"
 
 namespace kplex {
 namespace {
@@ -72,25 +71,19 @@ TEST(LocalGraph, RowsArePrefixOfAlignedMatrix) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(lg.Row(1).words) % 64, 0u);
 }
 
-// The same invariants must hold whether counts run on the portable word
-// loops or the dispatched SIMD table; this pins both paths.
+// Degree counts and vertex removal on a graph wider than two words.
 TEST(LocalGraph, InvariantsHoldUnderForcedBaseline) {
-  for (const kernels::KernelTable* table :
-       {&kernels::Portable(), &kernels::Dispatched()}) {
-    kernels::SetActiveForTest(table);
-    LocalGraph lg(130);
-    for (uint32_t v = 1; v < 130; ++v) lg.AddEdge(0, v);
-    lg.AddEdge(1, 2);
-    DynamicBitset mask(130);
-    mask.SetRange(0, 65);
-    EXPECT_EQ(lg.Degree(0), 129u) << table->name;
-    EXPECT_EQ(lg.DegreeIn(0, mask), 64u) << table->name;
-    lg.RemoveVertex(2);
-    EXPECT_EQ(lg.Degree(0), 128u) << table->name;
-    EXPECT_EQ(lg.Degree(1), 1u) << table->name;
-    EXPECT_EQ(lg.AliveMask().Count(), 129u) << table->name;
-    kernels::SetActiveForTest(nullptr);
-  }
+  LocalGraph lg(130);
+  for (uint32_t v = 1; v < 130; ++v) lg.AddEdge(0, v);
+  lg.AddEdge(1, 2);
+  DynamicBitset mask(130);
+  mask.SetRange(0, 65);
+  EXPECT_EQ(lg.Degree(0), 129u);
+  EXPECT_EQ(lg.DegreeIn(0, mask), 64u);
+  lg.RemoveVertex(2);
+  EXPECT_EQ(lg.Degree(0), 128u);
+  EXPECT_EQ(lg.Degree(1), 1u);
+  EXPECT_EQ(lg.AliveMask().Count(), 129u);
 }
 
 TEST(InducedSubgraph, ExtractsEdgesAndMapping) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -482,6 +483,34 @@ TEST(QueryEngine, ThreadCountAboveTheCapIsRefusedBeforeAnyGraphWork) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(CheckQueryThreads(int64_t{1} << 32).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(QueryEngine, DurationOutOfRangeIsRefusedBeforeAnyGraphWork) {
+  // As above: an unknown graph name, so the range check must fire first.
+  GraphCatalog catalog;
+  QueryEngine engine(catalog);
+  QueryRequest request;
+  request.graph = "nope";
+  for (double bad : {-1.0, 1e30, std::nan(""), HUGE_VAL}) {
+    request.time_limit_seconds = bad;
+    EXPECT_EQ(engine.Run(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << "time-limit " << bad;
+    request.time_limit_seconds = 0;
+    request.tau_ms = bad;
+    EXPECT_EQ(engine.Run(request).status().code(),
+              StatusCode::kInvalidArgument)
+        << "tau-ms " << bad;
+    request.tau_ms = 0.1;
+  }
+  request.time_limit_seconds = kMaxQueryDuration;
+  request.tau_ms = kMaxQueryDuration;
+  EXPECT_EQ(engine.Run(request).status().code(), StatusCode::kNotFound);
+
+  EXPECT_TRUE(CheckQueryDuration("tau-ms", 0).ok());
+  EXPECT_EQ(CheckQueryDuration("time-limit", 1e30).message(),
+            "time-limit must be a finite number in [0, 1000000], got "
+            "'1e+30'");
 }
 
 TEST(QueryEngineStore, DiskHitServesFreshEngineWithoutEnumerating) {

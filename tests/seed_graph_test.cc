@@ -16,7 +16,6 @@
 #include "graph/degeneracy.h"
 #include "graph/generators.h"
 #include "graph/kcore.h"
-#include "util/bitset_kernels.h"
 
 namespace kplex {
 namespace {
@@ -263,30 +262,6 @@ TEST(SeedGraph, EveryGroundTruthPlexSurvivesInItsSeedGraph) {
         }
       }
     }
-  }
-}
-
-// Seed-graph construction (masks, pruning fixpoint, deg_vi) must be
-// identical on the portable baseline and the dispatched SIMD kernels.
-TEST(SeedGraph, ConstructionIdenticalUnderForcedBaseline) {
-  Graph g = GenerateBarabasiAlbert(80, 6, 17);
-  DegeneracyResult degeneracy = ComputeDegeneracy(g);
-  EnumOptions options = EnumOptions::Ours(2, 6);
-  for (VertexId seed = 0; seed < g.NumVertices(); ++seed) {
-    kernels::SetActiveForTest(&kernels::Portable());
-    auto baseline = BuildSeedGraph(g, {}, degeneracy, seed, options, nullptr);
-    kernels::SetActiveForTest(nullptr);
-    auto dispatched = BuildSeedGraph(g, {}, degeneracy, seed, options,
-                                     nullptr);
-    ASSERT_EQ(baseline.has_value(), dispatched.has_value()) << seed;
-    if (!baseline.has_value()) continue;
-    EXPECT_EQ(baseline->num_vi, dispatched->num_vi) << seed;
-    EXPECT_EQ(baseline->universe, dispatched->universe) << seed;
-    EXPECT_EQ(baseline->to_global, dispatched->to_global) << seed;
-    EXPECT_EQ(baseline->deg_vi, dispatched->deg_vi) << seed;
-    EXPECT_TRUE(baseline->vi_mask == dispatched->vi_mask) << seed;
-    EXPECT_TRUE(baseline->n1_mask == dispatched->n1_mask) << seed;
-    EXPECT_TRUE(baseline->fringe_mask == dispatched->fringe_mask) << seed;
   }
 }
 

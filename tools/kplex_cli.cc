@@ -41,11 +41,13 @@
 // (--precompute at snapshot time) skips the (q-k)-core peel and the
 // degeneracy ordering on every subsequent run.
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -191,6 +193,34 @@ StatusOr<uint32_t> GetThreads(const FlagParser& flags) {
   return static_cast<uint32_t>(*value);
 }
 
+/// A non-negative integer flag that fits T (--k, --q, --max-results,
+/// --top, ...). A negative value would otherwise wrap through the
+/// unsigned cast, e.g. into a huge k or an unlimited result cap.
+template <typename T>
+StatusOr<T> GetCount(const FlagParser& flags, const std::string& name,
+                     int64_t fallback) {
+  constexpr uint64_t kMax = std::min<uint64_t>(
+      std::numeric_limits<T>::max(), std::numeric_limits<int64_t>::max());
+  auto value = flags.GetInt(name, fallback);
+  if (!value.ok()) return value.status();
+  if (*value < 0 || static_cast<uint64_t>(*value) > kMax) {
+    return Status::InvalidArgument("--" + name + " must be in 0.." +
+                                   std::to_string(kMax) + ", got " +
+                                   std::to_string(*value));
+  }
+  return static_cast<T>(*value);
+}
+
+/// --tau-ms / --time-limit, held to the range the protocol codecs
+/// enforce (CheckQueryDuration).
+StatusOr<double> GetDuration(const FlagParser& flags, const std::string& name,
+                             double fallback) {
+  auto value = flags.GetDouble(name, fallback);
+  if (!value.ok()) return value;
+  KPLEX_RETURN_IF_ERROR(CheckQueryDuration(name, *value));
+  return value;
+}
+
 /// Builds the QueryRequest of a coordinated mine (one-shot --endpoints
 /// or daemon --coordinator) from the mine flags. The seed split stays
 /// with the coordinator, so --seed-range and the local-input flags are
@@ -210,12 +240,12 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
         "coordinated mine (the workers hold the graph; the coordinator "
         "plans the ranges)");
   }
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
+  auto k = GetCount<uint32_t>(flags, "k", 2);
+  auto q = GetCount<uint32_t>(flags, "q", 0);
   auto threads = GetThreads(flags);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
+  auto tau = GetDuration(flags, "tau-ms", 0.1);
+  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
+  auto time_limit = GetDuration(flags, "time-limit", 0);
   for (const Status& s :
        {k.status(), q.status(), threads.status(), tau.status(),
         max_results.status(), time_limit.status()}) {
@@ -224,11 +254,11 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
   if (*q == 0) {
     return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
   }
-  query.k = static_cast<uint32_t>(*k);
-  query.q = static_cast<uint32_t>(*q);
+  query.k = *k;
+  query.q = *q;
   query.threads = *threads;
   query.tau_ms = *tau;
-  query.max_results = static_cast<uint64_t>(*max_results);
+  query.max_results = *max_results;
   query.time_limit_seconds = *time_limit;
   query.use_ctcp = flags.Has("ctcp");
   auto parsed_algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
@@ -380,12 +410,12 @@ int RunStoreMine(const FlagParser& flags) {
                          "write bodies with a plain mine)\n");
     return 1;
   }
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
+  auto k = GetCount<uint32_t>(flags, "k", 2);
+  auto q = GetCount<uint32_t>(flags, "q", 0);
   auto threads = GetThreads(flags);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
+  auto tau = GetDuration(flags, "tau-ms", 0.1);
+  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
+  auto time_limit = GetDuration(flags, "time-limit", 0);
   auto store_budget_mb = flags.GetInt("store-budget-mb", 0);
   for (const Status& s :
        {k.status(), q.status(), threads.status(), tau.status(),
@@ -443,12 +473,12 @@ int RunStoreMine(const FlagParser& flags) {
 
   QueryRequest request;
   request.graph = name;
-  request.k = static_cast<uint32_t>(*k);
-  request.q = static_cast<uint32_t>(*q);
+  request.k = *k;
+  request.q = *q;
   request.algo = *algo;
   request.threads = *threads;
   request.tau_ms = *tau;
-  request.max_results = static_cast<uint64_t>(*max_results);
+  request.max_results = *max_results;
   request.time_limit_seconds = *time_limit;
   request.use_ctcp = flags.Has("ctcp");
   const std::string seed_range = flags.GetString("seed-range", "");
@@ -496,18 +526,12 @@ int RunMine(const FlagParser& flags) {
   if (!coordinator.empty()) return RunCoordinatorMine(flags, coordinator);
   if (flags.Has("endpoints")) return RunShardedMine(flags);
   if (flags.Has("store")) return RunStoreMine(flags);
-  auto loaded = LoadInputFull(flags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const Graph& graph = loaded->graph;
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
+  auto k = GetCount<uint32_t>(flags, "k", 2);
+  auto q = GetCount<uint32_t>(flags, "q", 0);
   auto threads = GetThreads(flags);
-  auto tau = flags.GetDouble("tau-ms", 0.1);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
+  auto tau = GetDuration(flags, "tau-ms", 0.1);
+  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
+  auto time_limit = GetDuration(flags, "time-limit", 0);
   for (const Status& s :
        {k.status(), q.status(), threads.status(), tau.status(),
         max_results.status(), time_limit.status()}) {
@@ -520,6 +544,12 @@ int RunMine(const FlagParser& flags) {
     std::fprintf(stderr, "--q is required (must be >= 2k - 1)\n");
     return 1;
   }
+  auto loaded = LoadInputFull(flags);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
+  const Graph& graph = loaded->graph;
 
   const std::string algo = flags.GetString("algo", "ours");
   EnumOptions options;
@@ -539,7 +569,7 @@ int RunMine(const FlagParser& flags) {
     std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
     return 1;
   }
-  options.max_results = static_cast<uint64_t>(*max_results);
+  options.max_results = *max_results;
   options.time_limit_seconds = *time_limit;
   options.use_ctcp_preprocess = flags.Has("ctcp");
   if (!loaded->precompute.empty()) {
@@ -576,8 +606,7 @@ int RunMine(const FlagParser& flags) {
 
   StatusOr<EnumResult> result = Status::Internal("unreachable");
   if (use_fp_driver) {
-    result = FpEnumerate(graph, static_cast<uint32_t>(*k),
-                         static_cast<uint32_t>(*q), *sink);
+    result = FpEnumerate(graph, *k, *q, *sink);
   } else if (*threads > 0) {
     ParallelOptions parallel;
     parallel.num_threads = *threads;
@@ -630,19 +659,19 @@ int RunMax(const FlagParser& flags) {
     std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
     return 1;
   }
-  auto k = flags.GetInt("k", 2);
+  auto k = GetCount<uint32_t>(flags, "k", 2);
   if (!k.ok()) {
     std::fprintf(stderr, "%s\n", k.status().ToString().c_str());
     return 1;
   }
-  auto result = FindMaximumKPlex(*graph, static_cast<uint32_t>(*k));
+  auto result = FindMaximumKPlex(*graph, *k);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
   if (!result->found) {
     std::printf("no %lld-plex with >= %lld vertices exists\n",
-                static_cast<long long>(*k), static_cast<long long>(2 * *k - 1));
+                static_cast<long long>(*k), 2 * static_cast<long long>(*k) - 1);
     return 0;
   }
   std::printf("maximum %lld-plex has %zu vertices (%u passes, %.3fs):\n",
@@ -1193,16 +1222,16 @@ StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
                                          const std::string& graph) {
   QueryRequest query;
   query.graph = graph;
-  auto k = flags.GetInt("k", 2);
-  auto q = flags.GetInt("q", 0);
+  auto k = GetCount<uint32_t>(flags, "k", 2);
+  auto q = GetCount<uint32_t>(flags, "q", 0);
   auto threads = GetThreads(flags);
-  auto max_results = flags.GetInt("max-results", 0);
-  auto time_limit = flags.GetDouble("time-limit", 0);
-  auto chunk = flags.GetInt("chunk", 0);
-  auto top = flags.GetInt("top", 0);
+  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
+  auto time_limit = GetDuration(flags, "time-limit", 0);
+  auto chunk = GetCount<uint32_t>(flags, "chunk", 0);
+  auto top = GetCount<uint64_t>(flags, "top", 0);
   auto contain = flags.GetInt("contain", -1);
-  auto min_size = flags.GetInt("min-size", 0);
-  auto max_size = flags.GetInt("max-size", 0);
+  auto min_size = GetCount<uint64_t>(flags, "min-size", 0);
+  auto max_size = GetCount<uint64_t>(flags, "max-size", 0);
   for (const Status& s :
        {k.status(), q.status(), threads.status(), max_results.status(),
         time_limit.status(), chunk.status(), top.status(), contain.status(),
@@ -1213,14 +1242,14 @@ StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
   if (*q == 0 && !query.maximum) {
     return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
   }
-  query.k = static_cast<uint32_t>(*k);
-  query.q = static_cast<uint32_t>(*q);
+  query.k = *k;
+  query.q = *q;
   query.threads = *threads;
-  query.max_results = static_cast<uint64_t>(*max_results);
+  query.max_results = *max_results;
   query.time_limit_seconds = *time_limit;
   query.use_ctcp = flags.Has("ctcp");
-  query.chunk_size = static_cast<uint32_t>(*chunk);
-  query.top_k = static_cast<uint64_t>(*top);
+  query.chunk_size = *chunk;
+  query.top_k = *top;
   if (flags.Has("contain")) {
     if (*contain < 0) {
       return Status::InvalidArgument("--contain must be a vertex id >= 0");
@@ -1228,8 +1257,8 @@ StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
     query.has_contain = true;
     query.contain = static_cast<uint32_t>(*contain);
   }
-  query.filter_min_size = static_cast<uint64_t>(*min_size);
-  query.filter_max_size = static_cast<uint64_t>(*max_size);
+  query.filter_min_size = *min_size;
+  query.filter_max_size = *max_size;
   const std::string algo = flags.GetString("algo", "ours");
   auto parsed_algo = ParseQueryAlgo(algo);
   if (!parsed_algo.ok()) return parsed_algo.status();
