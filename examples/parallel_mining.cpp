@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   std::printf("%-10s %-12s %-10s %-10s %-16s\n", "threads", "tau (ms)",
               "plexes", "time (s)", "speedup vs 1thr");
   for (uint32_t threads : {1u, 2u, hw, 2 * hw}) {
-    for (double tau_ms : {0.1, -1.0}) {  // -1: timeout disabled
-      if (threads == 1 && tau_ms < 0) continue;
+    for (double tau_ms : {0.1, 0.0}) {  // 0: timeout disabled
+      if (threads == 1 && tau_ms == 0) continue;
       ParallelOptions parallel;
       parallel.num_threads = threads;
       parallel.timeout_ms = tau_ms;
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         return 1;
       }
       char tau_label[32];
-      if (tau_ms < 0) {
+      if (tau_ms == 0) {
         std::snprintf(tau_label, sizeof(tau_label), "off");
       } else {
         std::snprintf(tau_label, sizeof(tau_label), "%.1f", tau_ms);

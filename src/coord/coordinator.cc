@@ -52,22 +52,8 @@ Histogram& CoordChunkSeconds() {
 
 Status ConnectWorker(TcpClient& client, const std::string& endpoint,
                      double timeout_seconds) {
-  KPLEX_RETURN_IF_ERROR(client.ConnectEndpoint(endpoint, timeout_seconds));
-  KPLEX_RETURN_IF_ERROR(client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersionCoordination) +
-      " mode=framed"));
-  auto hello = client.ReadLine();
-  if (!hello.ok()) return hello.status();
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) return version.status();
-  if (*version < kProtocolVersionCoordination) {
-    return Status::FailedPrecondition(
-        "worker " + endpoint + " negotiated protocol v" +
-        std::to_string(*version) + " but coordination needs v" +
-        std::to_string(kProtocolVersionCoordination) +
-        " (upgrade the worker)");
-  }
-  return Status::Ok();
+  return client.ConnectFramed(endpoint, timeout_seconds,
+                              kProtocolVersionCoordination, "coordination");
 }
 
 std::string HexHash(uint64_t hash) {
@@ -314,6 +300,13 @@ std::vector<WorkerRecord> Coordinator::Workers() const {
 }
 
 StatusOr<uint64_t> Coordinator::Submit(const QueryRequest& query) {
+  // Checked here rather than at construction, so both the daemon and
+  // the one-shot RunCoordinatedMine refuse a job they would schedule
+  // with an overflowing socket timeout or steal age.
+  KPLEX_RETURN_IF_ERROR(
+      CheckQueryDuration("io-timeout", options_.io_timeout_seconds));
+  KPLEX_RETURN_IF_ERROR(
+      CheckQueryDuration("steal-min-seconds", options_.steal_min_seconds));
   KPLEX_RETURN_IF_ERROR(ValidateCoordinatedQuery(query));
   if (query.HasSeedRange()) {
     return Status::InvalidArgument(

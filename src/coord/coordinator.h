@@ -73,6 +73,8 @@ struct CoordinatorOptions {
   uint32_t chunks_per_worker = 8;
   /// Per-socket-operation timeout for lane connections, seconds
   /// (0 = none; a hung worker then pins its lane until it answers).
+  /// This and steal_min_seconds must pass IsValidDuration
+  /// (core/options.h); Submit refuses every job otherwise.
   double io_timeout_seconds = 0;
   /// Work-stealing. Off, a drained queue just waits for in-flight
   /// chunks to finish.

@@ -27,6 +27,10 @@ Status ValidateOptions(const EnumOptions& options) {
         std::to_string(options.seed_range.begin) + ":" +
         std::to_string(options.seed_range.end) + ")");
   }
+  if (!IsValidDuration(options.time_limit_seconds)) {
+    return Status::InvalidArgument(
+        "time limit must be a finite number of seconds in [0, 1000000]");
+  }
   return Status::Ok();
 }
 

@@ -56,8 +56,8 @@ struct EnumResult {
   AlgoCounters counters;
 };
 
-/// Validates `options` against Definition 3.4 (k >= 1, q >= 2k - 1) and
-/// the seed range (begin <= end).
+/// Validates `options` against Definition 3.4 (k >= 1, q >= 2k - 1),
+/// the seed range (begin <= end) and the time limit (IsValidDuration).
 Status ValidateOptions(const EnumOptions& options);
 
 /// Enumerates all maximal k-plexes of `graph` with at least q vertices,

@@ -7,12 +7,24 @@
 #define KPLEX_CORE_OPTIONS_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
 namespace kplex {
 
 struct GraphPrecompute;
+
+/// Upper bound on a duration option: EnumOptions::time_limit_seconds,
+/// ParallelOptions::timeout_ms, and the service's time-limit / tau-ms /
+/// socket timeouts. The engines turn these into integer nanosecond
+/// deadlines, which a larger or non-finite value would overflow.
+inline constexpr double kMaxDuration = 1e6;
+
+/// The one duration rule: finite and in [0, kMaxDuration].
+inline bool IsValidDuration(double value) {
+  return std::isfinite(value) && value >= 0 && value <= kMaxDuration;
+}
 
 /// Half-open range [begin, end) of seed *indices* into the canonical
 /// seed order of the reduced graph (the degeneracy order of the

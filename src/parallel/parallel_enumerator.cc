@@ -262,6 +262,11 @@ StatusOr<EnumResult> ParallelEnumerateMaximalKPlexes(
     const Graph& graph, const EnumOptions& options,
     const ParallelOptions& parallel_options, ResultSink& sink) {
   KPLEX_RETURN_IF_ERROR(ValidateOptions(options));
+  if (!IsValidDuration(parallel_options.timeout_ms)) {
+    return Status::InvalidArgument(
+        "straggler timeout must be a finite number of milliseconds in "
+        "[0, 1000000]");
+  }
   WallTimer timer;
   EnumResult result;
 

@@ -23,7 +23,8 @@ namespace kplex {
 struct ParallelOptions {
   /// Worker threads (M). 0 means std::thread::hardware_concurrency().
   uint32_t num_threads = 0;
-  /// Straggler timeout tau_time in milliseconds; <= 0 disables the
+  /// Straggler timeout tau_time in milliseconds, in [0, kMaxDuration]
+  /// (anything else is InvalidArgument); 0 disables the
   /// decomposition (tasks then run to completion as in plain ListPlex/FP
   /// style parallelization). The paper's default is 0.1 ms.
   double timeout_ms = 0.1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -145,7 +144,7 @@ Status CheckQueryThreads(int64_t threads) {
 }
 
 Status CheckQueryDuration(const std::string& key, double value) {
-  if (!(std::isfinite(value) && value >= 0 && value <= kMaxQueryDuration)) {
+  if (!IsValidDuration(value)) {
     char text[40];
     std::snprintf(text, sizeof(text), "%.12g", value);
     return Status::InvalidArgument(
@@ -153,6 +152,53 @@ Status CheckQueryDuration(const std::string& key, double value) {
         "'");
   }
   return Status::Ok();
+}
+
+StatusOr<EnumOptions> EnumOptionsForQuery(const QueryRequest& request) {
+  if (request.HasSeedRange() && request.algo == QueryAlgo::kFp) {
+    return Status::InvalidArgument(
+        "the fp baseline does not support seed ranges");
+  }
+  EnumOptions options;
+  switch (request.algo) {
+    case QueryAlgo::kOurs:
+    case QueryAlgo::kFp:
+      options = EnumOptions::Ours(request.k, request.q);
+      break;
+    case QueryAlgo::kOursP:
+      options = EnumOptions::OursP(request.k, request.q);
+      break;
+    case QueryAlgo::kBasic:
+      options = EnumOptions::Basic(request.k, request.q);
+      break;
+    case QueryAlgo::kListPlex:
+      options = ListPlexOptions(request.k, request.q);
+      break;
+  }
+  options.max_results = request.max_results;
+  options.time_limit_seconds = request.time_limit_seconds;
+  options.use_ctcp_preprocess = request.use_ctcp;
+  options.cancel = request.cancel;
+  options.yield = request.yield;
+  options.seed_range.begin = request.seed_begin;
+  options.seed_range.end = request.seed_end;
+  return options;
+}
+
+StatusOr<EnumResult> RunEnumeration(const Graph& graph,
+                                    const QueryRequest& request,
+                                    const EnumOptions& options,
+                                    ResultSink& sink) {
+  if (request.algo == QueryAlgo::kFp) {
+    return FpEnumerate(graph, request.k, request.q, sink);
+  }
+  if (request.threads > 0) {
+    ParallelOptions parallel;
+    parallel.num_threads = request.threads;
+    parallel.timeout_ms = request.tau_ms;
+    return ParallelEnumerateMaximalKPlexes(graph, options, parallel, sink);
+  }
+  return EnumerateMaximalKPlexes(graph, options, sink);
 }
 
 StatusOr<QueryResult> QueryEngine::Run(const QueryRequest& request) {
@@ -452,38 +498,9 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     return result;
   }
 
-  EnumOptions options;
-  switch (request.algo) {
-    case QueryAlgo::kOurs:
-      options = EnumOptions::Ours(request.k, request.q);
-      break;
-    case QueryAlgo::kOursP:
-      options = EnumOptions::OursP(request.k, request.q);
-      break;
-    case QueryAlgo::kBasic:
-      options = EnumOptions::Basic(request.k, request.q);
-      break;
-    case QueryAlgo::kListPlex:
-      options = ListPlexOptions(request.k, request.q);
-      break;
-    case QueryAlgo::kFp:
-      options = EnumOptions::Ours(request.k, request.q);  // validated only
-      break;
-  }
-  options.max_results = request.max_results;
-  options.time_limit_seconds = request.time_limit_seconds;
-  options.use_ctcp_preprocess = request.use_ctcp;
-  options.cancel = request.cancel;
-  options.yield = request.yield;
-  options.precompute = precompute.get();
-  options.seed_range.begin = request.seed_begin;
-  options.seed_range.end = request.seed_end;
-  if (request.HasSeedRange() && request.algo == QueryAlgo::kFp) {
-    // The fp driver has its own search order; a range over the
-    // canonical degeneracy seed order means nothing to it.
-    return Status::InvalidArgument(
-        "the fp baseline does not support seed ranges");
-  }
+  StatusOr<EnumOptions> options = EnumOptionsForQuery(request);
+  if (!options.ok()) return options.status();
+  options->precompute = precompute.get();
 
   // Cursor resume: restart at the cursor's seed, drop the emissions a
   // previous page already delivered, and lift the cap by the same
@@ -493,14 +510,14 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
   // max_results matches, but pagination stays exact.
   uint64_t skip = 0;
   if (request.has_cursor) {
-    options.seed_range.begin = request.cursor_seed;
+    options->seed_range.begin = request.cursor_seed;
     skip = request.cursor_ordinal;
-    if (options.max_results > 0) {
-      if (options.max_results > UINT64_MAX - skip) {
+    if (options->max_results > 0) {
+      if (options->max_results > UINT64_MAX - skip) {
         return Status::InvalidArgument(
             "cursor ordinal + max-results overflows");
       }
-      options.max_results += skip;
+      options->max_results += skip;
     }
   }
 
@@ -539,16 +556,7 @@ StatusOr<QueryResult> QueryEngine::Execute(const QueryRequest& request,
     enumerate_span.AddAttr("k", std::to_string(request.k));
     enumerate_span.AddAttr("q", std::to_string(request.q));
     enumerate_span.AddAttr("algo", QueryAlgoName(request.algo));
-    if (request.algo == QueryAlgo::kFp) {
-      run = FpEnumerate(*graph, request.k, request.q, sink);
-    } else if (request.threads > 0) {
-      ParallelOptions parallel;
-      parallel.num_threads = request.threads;
-      parallel.timeout_ms = request.tau_ms;
-      run = ParallelEnumerateMaximalKPlexes(*graph, options, parallel, sink);
-    } else {
-      run = EnumerateMaximalKPlexes(*graph, options, sink);
-    }
+    run = RunEnumeration(*graph, request, *options, sink);
   }
   if (!run.ok()) return run.status();
 

@@ -58,13 +58,9 @@ inline constexpr uint32_t kMaxQueryThreads = 1024;
 /// InvalidArgument unless 0 <= threads <= kMaxQueryThreads.
 Status CheckQueryThreads(int64_t threads);
 
-/// Upper bound on a query duration: time-limit (seconds) and tau-ms
-/// (milliseconds). The engines turn both into integer nanosecond
-/// deadlines, which a larger or non-finite value would overflow.
-inline constexpr double kMaxQueryDuration = 1e6;
-
-/// InvalidArgument unless `value` is finite and in [0, kMaxQueryDuration].
-/// `key` names the field ("time-limit", "tau-ms") in the message.
+/// InvalidArgument unless IsValidDuration(value) (core/options.h): a
+/// finite number in [0, kMaxDuration]. `key` names the field
+/// ("time-limit", "tau-ms", "io-timeout") in the message.
 Status CheckQueryDuration(const std::string& key, double value);
 
 struct QueryRequest {
@@ -204,6 +200,22 @@ struct QueryResult {
   uint64_t cursor_ordinal = 0;
   std::string signature;
 };
+
+/// The EnumOptions `request` enumerates with: its algo's preset (the fp
+/// baseline has none and validates as Ours) plus max-results, time
+/// limit, ctcp, seed range, cancel and yield. InvalidArgument for a seed
+/// range on the fp baseline, whose search order has no canonical seeds.
+/// Precompute sections and cursor positioning are left to the caller.
+StatusOr<EnumOptions> EnumOptionsForQuery(const QueryRequest& request);
+
+/// Runs one enumeration of `graph` into `sink`: the fp baseline driver,
+/// the parallel engine (request.threads > 0, straggler timeout
+/// request.tau_ms) or the sequential one. QueryEngine and `kplex_cli
+/// mine` both dispatch through here.
+StatusOr<EnumResult> RunEnumeration(const Graph& graph,
+                                    const QueryRequest& request,
+                                    const EnumOptions& options,
+                                    ResultSink& sink);
 
 class QueryEngine {
  public:

@@ -2,6 +2,9 @@
 
 #include <utility>
 
+#include "core/options.h"
+#include "service/protocol.h"
+
 #if defined(__unix__) || defined(__APPLE__)
 #define KPLEX_TCP_CLIENT_SOCKETS 1
 #include <arpa/inet.h>
@@ -47,6 +50,26 @@ Status TcpClient::ConnectEndpoint(const std::string& endpoint,
   return Connect(host, port, timeout_seconds);
 }
 
+Status TcpClient::ConnectFramed(const std::string& endpoint,
+                                double timeout_seconds, uint32_t min_version,
+                                const std::string& need) {
+  KPLEX_RETURN_IF_ERROR(ConnectEndpoint(endpoint, timeout_seconds));
+  KPLEX_RETURN_IF_ERROR(SendLine("hello proto=" +
+                                 std::to_string(kProtocolVersion) +
+                                 " mode=framed"));
+  auto hello = ReadLine();
+  if (!hello.ok()) return hello.status();
+  auto version = ParseFramedHelloVersion(*hello);
+  if (!version.ok()) return version.status();
+  if (*version < min_version) {
+    return Status::FailedPrecondition(
+        endpoint + " negotiated protocol v" + std::to_string(*version) +
+        " but " + need + " needs v" + std::to_string(min_version) +
+        " (upgrade it)");
+  }
+  return Status::Ok();
+}
+
 TcpClient::~TcpClient() { Close(); }
 
 TcpClient::TcpClient(TcpClient&& other) noexcept
@@ -83,6 +106,11 @@ void TcpClient::Close() {
 Status TcpClient::Connect(const std::string& host, uint16_t port,
                           double timeout_seconds) {
   Close();
+  if (!IsValidDuration(timeout_seconds)) {
+    return Status::InvalidArgument(
+        "socket timeout must be a finite number of seconds in "
+        "[0, 1000000]");
+  }
   // getaddrinfo resolves both numeric addresses and names; restrict to
   // IPv4/IPv6 stream sockets.
   addrinfo hints = {};

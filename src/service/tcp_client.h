@@ -2,7 +2,8 @@
 // blocking, line-oriented connection to a `serve --listen` process.
 // The coordinator runs one per worker lane; the CLI's remote commands,
 // tests and tools use it to script a server. Deliberately minimal:
-// connect, send a line, read a line. An optional timeout guards both
+// connect (plain, or framed through the one hello handshake), send a
+// line, read a line. An optional timeout guards both
 // directions so a hung worker can surface as a structured error instead
 // of a stuck coordinator (timeouts report TIMED_OUT, disconnects
 // IO_ERROR — the coordinator requeues the chunk elsewhere either way).
@@ -38,13 +39,23 @@ class TcpClient {
   TcpClient& operator=(TcpClient&& other) noexcept;
 
   /// Connects to host:port. `timeout_seconds` (0 = none) bounds every
-  /// subsequent send and receive, not the connect itself.
+  /// subsequent send and receive, not the connect itself; it must be a
+  /// finite number in [0, kMaxDuration] (core/options.h), else
+  /// InvalidArgument before any socket work.
   Status Connect(const std::string& host, uint16_t port,
                  double timeout_seconds = 0);
 
   /// Connect to a "host:port" endpoint (SplitEndpoint's grammar).
   Status ConnectEndpoint(const std::string& endpoint,
                          double timeout_seconds = 0);
+
+  /// The one framed-client opener: ConnectEndpoint, then the handshake
+  /// `hello proto=<kProtocolVersion> mode=framed`. A peer that
+  /// negotiates below `min_version` is refused with FailedPrecondition
+  /// "ENDPOINT negotiated protocol vN but NEED needs vM (upgrade it)";
+  /// `need` names what requires the version ("coordinated mining").
+  Status ConnectFramed(const std::string& endpoint, double timeout_seconds,
+                       uint32_t min_version, const std::string& need);
 
   bool connected() const { return fd_ >= 0; }
 

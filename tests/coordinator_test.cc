@@ -18,6 +18,7 @@
 #if KPLEX_TEST_SOCKETS
 
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -362,6 +363,32 @@ TEST(Coordinator, StructuralRefusals) {
   EXPECT_FALSE(coordinator.AddWorker("host:0").ok());
 }
 
+TEST(Coordinator, OutOfRangeTimeoutsAreRefusedOnBothPaths) {
+  // Port 1 has no listener: a job that got past the check would fail
+  // with a transport error, not INVALID_ARGUMENT.
+  for (double bad : {std::nan(""), HUGE_VAL, -1.0, 1e30}) {
+    CoordinatorOptions io;
+    io.io_timeout_seconds = bad;
+    CoordinatorOptions steal;
+    steal.steal_min_seconds = bad;
+    for (const CoordinatorOptions& options : {io, steal}) {
+      // The daemon path: Submit refuses the job.
+      Coordinator coordinator(options);
+      ASSERT_TRUE(coordinator.AddWorker("127.0.0.1:1").ok());
+      EXPECT_EQ(coordinator.Submit(MakeQuery(2, 5)).status().code(),
+                StatusCode::kInvalidArgument)
+          << bad;
+      // The one-shot path.
+      EXPECT_EQ(
+          RunCoordinatedMine(MakeQuery(2, 5), {"127.0.0.1:1"}, options)
+              .status()
+              .code(),
+          StatusCode::kInvalidArgument)
+          << bad;
+    }
+  }
+}
+
 TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
   const Graph graph = GenerateErdosRenyi(150, 0.1, 5);
   Worker worker;
@@ -376,18 +403,14 @@ TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
       [coordinator] { coordinator->Stop(); }, TcpServerOptions{});
   ASSERT_TRUE(daemon.Start().ok());
 
+  // Negotiation takes the minimum, so requiring the current version
+  // pins the daemon to exactly kProtocolVersion.
   TcpClient client;
-  ASSERT_TRUE(
-      client.Connect("127.0.0.1", daemon.port(), /*timeout=*/30).ok());
   ASSERT_TRUE(client
-                  .SendLine("hello proto=" +
-                            std::to_string(kProtocolVersion) + " mode=framed")
+                  .ConnectFramed("127.0.0.1:" + std::to_string(daemon.port()),
+                                 /*timeout_seconds=*/30, kProtocolVersion,
+                                 "the daemon verbs")
                   .ok());
-  auto hello = client.ReadLine();
-  ASSERT_TRUE(hello.ok());
-  auto version = ParseFramedHelloVersion(*hello);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, kProtocolVersion);
 
   // register the worker over the wire.
   Request reg;

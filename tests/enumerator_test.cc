@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "baselines/bk_naive.h"
 #include "baselines/fp.h"
 #include "baselines/listplex.h"
@@ -29,6 +31,23 @@ TEST(Enumerator, RejectsInvalidOptions) {
   EXPECT_FALSE(EnumerateMaximalKPlexes(g, bad_k, sink).ok());
   EnumOptions bad_q = EnumOptions::Ours(3, 4);  // q < 2k - 1
   EXPECT_FALSE(EnumerateMaximalKPlexes(g, bad_q, sink).ok());
+}
+
+TEST(Enumerator, RejectsOutOfRangeTimeLimits) {
+  // The limit becomes an integer nanosecond deadline; these would
+  // overflow the conversion, so they are refused before any work.
+  Graph g = GraphBuilder::FromEdges(3, {{0, 1}, {1, 2}});
+  CollectingSink sink;
+  for (double bad : {1e30, std::nan(""), HUGE_VAL, -1.0}) {
+    EnumOptions options = EnumOptions::Ours(2, 3);
+    options.time_limit_seconds = bad;
+    EXPECT_EQ(EnumerateMaximalKPlexes(g, options, sink).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EnumOptions cap = EnumOptions::Ours(2, 3);
+  cap.time_limit_seconds = kMaxDuration;
+  EXPECT_TRUE(EnumerateMaximalKPlexes(g, cap, sink).ok());
 }
 
 TEST(Enumerator, EmptyGraph) {

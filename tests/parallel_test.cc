@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/enumerator.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -118,6 +120,30 @@ TEST(Parallel, RejectsInvalidOptions) {
   auto result = ParallelEnumerateMaximalKPlexes(
       g, EnumOptions::Ours(3, 2), parallel, sink);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(Parallel, RejectsOutOfRangeDurations) {
+  Graph g = GenerateErdosRenyi(10, 0.3, 1);
+  CollectingSink sink;
+  for (double bad : {1e30, std::nan(""), HUGE_VAL, -1.0}) {
+    ParallelOptions tau;
+    tau.num_threads = 2;
+    tau.timeout_ms = bad;
+    EXPECT_EQ(ParallelEnumerateMaximalKPlexes(g, EnumOptions::Ours(2, 3),
+                                              tau, sink)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "timeout_ms " << bad;
+    EnumOptions limit = EnumOptions::Ours(2, 3);
+    limit.time_limit_seconds = bad;
+    EXPECT_EQ(ParallelEnumerateMaximalKPlexes(g, limit, ParallelOptions{},
+                                              sink)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "time_limit_seconds " << bad;
+  }
 }
 
 TEST(Parallel, WorksForAllVariants) {

@@ -503,8 +503,8 @@ TEST(QueryEngine, DurationOutOfRangeIsRefusedBeforeAnyGraphWork) {
         << "tau-ms " << bad;
     request.tau_ms = 0.1;
   }
-  request.time_limit_seconds = kMaxQueryDuration;
-  request.tau_ms = kMaxQueryDuration;
+  request.time_limit_seconds = kMaxDuration;
+  request.tau_ms = kMaxDuration;
   EXPECT_EQ(engine.Run(request).status().code(), StatusCode::kNotFound);
 
   EXPECT_TRUE(CheckQueryDuration("tau-ms", 0).ok());

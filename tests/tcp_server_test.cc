@@ -18,6 +18,7 @@
 #endif
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -27,7 +28,9 @@
 #include "core/sink.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
+#include "service/protocol.h"
 #include "service/service_session.h"
+#include "service/tcp_client.h"
 
 namespace kplex {
 namespace {
@@ -360,6 +363,52 @@ TEST(TcpServer, StopIsGracefulMidQueryAndIdempotent) {
   ASSERT_TRUE(reuse.connected());
   EXPECT_EQ(reuse.RoundTrip("evict nope"),
             "error: NOT_FOUND: no graph named 'nope' is registered");
+}
+
+TEST(TcpClient, OutOfRangeTimeoutIsRefusedBeforeAnySocketWork) {
+  // Port 1 has no listener: a timeout that got past the check would
+  // report IO_ERROR from connect, not INVALID_ARGUMENT.
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, -1.0, 1e30}) {
+    TcpClient client;
+    Status status = client.Connect("127.0.0.1", 1, bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << status.ToString();
+    EXPECT_FALSE(client.connected());
+    EXPECT_EQ(client.ConnectFramed("127.0.0.1:1", bad, 1, "a test").code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
+TEST(TcpClient, ConnectFramedNegotiatesAndRefusesAnOlderPeer) {
+  Harness harness;
+  ASSERT_TRUE(harness.Start().ok());
+  const std::string endpoint =
+      "127.0.0.1:" + std::to_string(harness.server->port());
+
+  TcpClient client;
+  ASSERT_TRUE(
+      client.ConnectFramed(endpoint, 30, kProtocolVersion, "a test").ok());
+  // The session is framed now: a framed request gets a framed answer.
+  Request stats;
+  stats.id = 7;
+  stats.payload = StatsRequest{};
+  ASSERT_TRUE(client.SendLine(FormatFramedRequest(stats)).ok());
+  auto line = client.ReadLine();
+  ASSERT_TRUE(line.ok());
+  auto type = PeekFramedResponseType(*line);
+  ASSERT_TRUE(type.ok()) << *line;
+  EXPECT_EQ(*type, "stats");
+
+  TcpClient newer;
+  Status refused = newer.ConnectFramed(endpoint, 30, kProtocolVersion + 1,
+                                       "a future verb");
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(refused.message(),
+            endpoint + " negotiated protocol v" +
+                std::to_string(kProtocolVersion) +
+                " but a future verb needs v" +
+                std::to_string(kProtocolVersion + 1) + " (upgrade it)");
 }
 
 #else  // !KPLEX_TEST_SOCKETS

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -58,13 +59,10 @@
 #include <unistd.h>
 #endif
 
-#include "baselines/fp.h"
-#include "baselines/listplex.h"
 #include "bench_common/dataset_registry.h"
 #include "bench_common/table_printer.h"
 #include "coord/coord_session.h"
 #include "coord/coordinator.h"
-#include "core/enumerator.h"
 #include "core/file_sink.h"
 #include "core/max_kplex.h"
 #include "core/sink.h"
@@ -75,12 +73,11 @@
 #include "graph/triangles.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "parallel/parallel_enumerator.h"
 #include "service/query_engine.h"
 #include "service/service_session.h"
-#include "store/result_store.h"
 #include "service/tcp_client.h"
 #include "service/tcp_server.h"
+#include "store/result_store.h"
 #include "util/flags.h"
 #include "util/logging.h"
 
@@ -159,6 +156,12 @@ int Usage() {
   return 2;
 }
 
+/// Prints `status` to stderr; the exit code of a failed command.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
+}
+
 /// Resolves --dataset/--input, preserving snapshot precompute sections
 /// (empty for edge lists and datasets).
 StatusOr<LoadedSnapshot> LoadInputFull(const FlagParser& flags) {
@@ -211,7 +214,8 @@ StatusOr<T> GetCount(const FlagParser& flags, const std::string& name,
   return static_cast<T>(*value);
 }
 
-/// --tau-ms / --time-limit, held to the range the protocol codecs
+/// Every duration flag (--tau-ms, --time-limit, --io-timeout,
+/// --steal-min-ms), held to the rule the protocol codecs and the engines
 /// enforce (CheckQueryDuration).
 StatusOr<double> GetDuration(const FlagParser& flags, const std::string& name,
                              double fallback) {
@@ -221,25 +225,16 @@ StatusOr<double> GetDuration(const FlagParser& flags, const std::string& name,
   return value;
 }
 
-/// Builds the QueryRequest of a coordinated mine (one-shot --endpoints
-/// or daemon --coordinator) from the mine flags. The seed split stays
-/// with the coordinator, so --seed-range and the local-input flags are
-/// refused.
-StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
-  QueryRequest query;
-  query.graph = flags.GetString("graph", "");
-  if (query.graph.empty()) {
-    return Status::InvalidArgument(
-        "a coordinated mine needs --graph NAME (the graph's name in the "
-        "workers' catalogs)");
-  }
-  if (flags.Has("input") || flags.Has("dataset") || flags.Has("output") ||
-      flags.Has("seed-range")) {
-    return Status::InvalidArgument(
-        "--input/--dataset/--output/--seed-range do not apply to a "
-        "coordinated mine (the workers hold the graph; the coordinator "
-        "plans the ranges)");
-  }
+/// The query flags QueryFromFlags reads. `query` accepts all but the
+/// last two: it has no parallel straggler knob and no seed shards.
+const std::vector<std::string> kQueryFlags = {
+    "k", "q", "algo", "threads", "max-results", "time-limit", "ctcp",
+    "tau-ms", "seed-range"};
+
+/// The one reader of the query flags (kQueryFlags) shared by every
+/// command that runs a query. --q is required except for
+/// `query --maximum`.
+StatusOr<QueryRequest> QueryFromFlags(const FlagParser& flags) {
   auto k = GetCount<uint32_t>(flags, "k", 2);
   auto q = GetCount<uint32_t>(flags, "q", 0);
   auto threads = GetThreads(flags);
@@ -251,22 +246,76 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
         max_results.status(), time_limit.status()}) {
     if (!s.ok()) return s;
   }
-  if (*q == 0) {
+  if (*q == 0 && !flags.Has("maximum")) {
     return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
   }
+  auto algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
+  if (!algo.ok()) return algo.status();
+  QueryRequest query;
   query.k = *k;
   query.q = *q;
+  query.algo = *algo;
   query.threads = *threads;
   query.tau_ms = *tau;
   query.max_results = *max_results;
   query.time_limit_seconds = *time_limit;
   query.use_ctcp = flags.Has("ctcp");
-  auto parsed_algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
-  if (!parsed_algo.ok()) return parsed_algo.status();
-  query.algo = *parsed_algo;
+  const std::string seed_range = flags.GetString("seed-range", "");
+  if (!seed_range.empty()) {
+    auto range = ParseSeedRangeText(seed_range);
+    if (!range.ok()) return range.status();
+    query.seed_begin = range->begin;
+    query.seed_end = range->end;
+  }
+  return query;
+}
+
+/// Sends `payload` as framed request 2 and reads the response line.
+StatusOr<std::string> SendFramed(TcpClient& client, RequestPayload payload) {
+  Request request;
+  request.id = 2;
+  request.payload = std::move(payload);
+  KPLEX_RETURN_IF_ERROR(client.SendLine(FormatFramedRequest(request)));
+  return client.ReadLine();
+}
+
+/// One framed round trip whose raw response frame is the command's
+/// output (coordctl, `metrics --format json`): printed to stdout, or to
+/// stderr with exit 1 when the server refused. An {"ok":false,...}
+/// frame peeks as its embedded status, a malformed line as a parse
+/// error.
+int PrintFramedResponse(TcpClient& client, RequestPayload payload) {
+  auto line = SendFramed(client, std::move(payload));
+  if (!line.ok()) return Fail(line.status());
+  const bool refused = !PeekFramedResponseType(*line).ok();
+  std::fprintf(refused ? stderr : stdout, "%s\n", line->c_str());
+  return refused ? 1 : 0;
+}
+
+/// Builds the QueryRequest of a coordinated mine (one-shot --endpoints
+/// or daemon --coordinator) from the mine flags. The seed split stays
+/// with the coordinator, so --seed-range and the local-input flags are
+/// refused.
+StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
+  const std::string graph = flags.GetString("graph", "");
+  if (graph.empty()) {
+    return Status::InvalidArgument(
+        "a coordinated mine needs --graph NAME (the graph's name in the "
+        "workers' catalogs)");
+  }
+  if (flags.Has("input") || flags.Has("dataset") || flags.Has("output") ||
+      flags.Has("seed-range")) {
+    return Status::InvalidArgument(
+        "--input/--dataset/--output/--seed-range do not apply to a "
+        "coordinated mine (the workers hold the graph; the coordinator "
+        "plans the ranges)");
+  }
+  auto query = QueryFromFlags(flags);
+  if (!query.ok()) return query;
+  query->graph = graph;
   // Surface option incompatibilities (max-results, filters, streaming)
   // as their structured explanations before opening any connection.
-  KPLEX_RETURN_IF_ERROR(ValidateCoordinatedQuery(query));
+  KPLEX_RETURN_IF_ERROR(ValidateCoordinatedQuery(*query));
   return query;
 }
 
@@ -275,28 +324,16 @@ StatusOr<QueryRequest> BuildCoordinatedMineQuery(const FlagParser& flags) {
 /// options; only the socket timeout comes from the flags.
 int RunShardedMine(const FlagParser& flags) {
   auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
   auto endpoints = ParseEndpointList(flags.GetString("endpoints", ""));
-  if (!endpoints.ok()) {
-    std::fprintf(stderr, "%s\n", endpoints.status().ToString().c_str());
-    return 1;
-  }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  if (!endpoints.ok()) return Fail(endpoints.status());
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   CoordinatorOptions options;
   options.io_timeout_seconds = *io_timeout;
 
   auto job = RunCoordinatedMine(*query, *endpoints, options);
-  if (!job.ok()) {
-    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
-    return 1;
-  }
+  if (!job.ok()) return Fail(job.status());
 
   TablePrinter table({"seeds", "worker", "plexes", "seconds", "stolen"});
   for (const CoordChunkOutcome& chunk : job->outcomes) {
@@ -328,62 +365,18 @@ int RunShardedMine(const FlagParser& flags) {
 /// remote-mine client pointed at a different server.
 int RunCoordinatorMine(const FlagParser& flags, const std::string& endpoint) {
   auto query = BuildCoordinatedMineQuery(flags);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   TcpClient client;
-  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionCoordination) {
-    std::fprintf(stderr, "coordinator %s negotiated protocol v%u but "
-                         "coordinated mining needs v%u (upgrade it)\n",
-                 endpoint.c_str(), *version, kProtocolVersionCoordination);
-    return 1;
-  }
-
-  Request request;
-  request.id = 2;
-  request.payload = MineRequest{*query};
-  sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto line = client.ReadLine();
-  if (!line.ok()) {
-    std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-    return 1;
-  }
+  Status opened = client.ConnectFramed(endpoint, *io_timeout,
+                                       kProtocolVersionCoordination,
+                                       "coordinated mining");
+  if (!opened.ok()) return Fail(opened);
+  auto line = SendFramed(client, MineRequest{*query});
+  if (!line.ok()) return Fail(line.status());
   auto verdict = ParseFramedMineResult(*line);
-  if (!verdict.ok()) {
-    std::fprintf(stderr, "%s\n", verdict.status().ToString().c_str());
-    return 1;
-  }
+  if (!verdict.ok()) return Fail(verdict.status());
   // The merged line is machine-read by tools/coord_smoke.py; keep its
   // shape stable.
   std::printf("coordinated mine %s k=%u q=%u via %s: %llu plexes, max size "
@@ -394,6 +387,16 @@ int RunCoordinatorMine(const FlagParser& flags, const std::string& endpoint) {
               static_cast<unsigned long long>(verdict->fingerprint),
               verdict->seconds);
   return verdict->state == "done" ? 0 : 1;
+}
+
+/// The summary line of a local mine (plain or --store).
+void PrintMineLine(const QueryRequest& query, uint64_t plexes,
+                   double seconds, bool timed_out, bool stopped_early) {
+  std::printf("%llu maximal %lld-plexes with >= %lld vertices in %.3fs%s%s\n",
+              static_cast<unsigned long long>(plexes),
+              static_cast<long long>(query.k), static_cast<long long>(query.q),
+              seconds, timed_out ? " (time limit hit)" : "",
+              stopped_early ? " (result cap hit)" : "");
 }
 
 /// `mine --store DIR`: the query runs through the service stack —
@@ -410,53 +413,29 @@ int RunStoreMine(const FlagParser& flags) {
                          "write bodies with a plain mine)\n");
     return 1;
   }
-  auto k = GetCount<uint32_t>(flags, "k", 2);
-  auto q = GetCount<uint32_t>(flags, "q", 0);
-  auto threads = GetThreads(flags);
-  auto tau = GetDuration(flags, "tau-ms", 0.1);
-  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
-  auto time_limit = GetDuration(flags, "time-limit", 0);
+  auto query = QueryFromFlags(flags);
+  if (!query.ok()) return Fail(query.status());
   auto store_budget_mb = flags.GetInt("store-budget-mb", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), tau.status(),
-        max_results.status(), time_limit.status(),
-        store_budget_mb.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*q == 0) {
-    std::fprintf(stderr, "--q is required (must be >= 2k - 1)\n");
-    return 1;
-  }
+  if (!store_budget_mb.ok()) return Fail(store_budget_mb.status());
   if (*store_budget_mb < 0) {
     std::fprintf(stderr, "--store-budget-mb must be >= 0\n");
     return 1;
   }
-  auto algo = ParseQueryAlgo(flags.GetString("algo", "ours"));
-  if (!algo.ok()) {
-    std::fprintf(stderr, "%s\n", algo.status().ToString().c_str());
-    return 1;
-  }
 
   GraphCatalog catalog;
-  const std::string name = "cli";
+  query->graph = "cli";
   const std::string dataset = flags.GetString("dataset", "");
   const std::string input = flags.GetString("input", "");
   Status registered = Status::Ok();
   if (!dataset.empty()) {
-    registered = catalog.RegisterDataset(name, dataset);
+    registered = catalog.RegisterDataset(query->graph, dataset);
   } else if (!input.empty()) {
-    registered = catalog.RegisterFile(name, input);
+    registered = catalog.RegisterFile(query->graph, input);
   } else {
     std::fprintf(stderr, "one of --input or --dataset is required\n");
     return 1;
   }
-  if (!registered.ok()) {
-    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
-    return 1;
-  }
+  if (!registered.ok()) return Fail(registered);
 
   StoreOptions store_options;
   store_options.directory = flags.GetString("store", "");
@@ -470,38 +449,10 @@ int RunStoreMine(const FlagParser& flags) {
 
   QueryEngine engine(catalog);
   engine.AttachStore(store->get());
-
-  QueryRequest request;
-  request.graph = name;
-  request.k = *k;
-  request.q = *q;
-  request.algo = *algo;
-  request.threads = *threads;
-  request.tau_ms = *tau;
-  request.max_results = *max_results;
-  request.time_limit_seconds = *time_limit;
-  request.use_ctcp = flags.Has("ctcp");
-  const std::string seed_range = flags.GetString("seed-range", "");
-  if (!seed_range.empty()) {
-    auto parsed_range = ParseSeedRangeText(seed_range);
-    if (!parsed_range.ok()) {
-      std::fprintf(stderr, "%s\n", parsed_range.status().ToString().c_str());
-      return 1;
-    }
-    request.seed_begin = parsed_range->begin;
-    request.seed_end = parsed_range->end;
-  }
-
-  auto result = engine.Run(request);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("%llu maximal %lld-plexes with >= %lld vertices in %.3fs%s%s\n",
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<long long>(*k), static_cast<long long>(*q),
-              result->seconds, result->timed_out ? " (time limit hit)" : "",
-              result->stopped_early ? " (result cap hit)" : "");
+  auto result = engine.Run(*query);
+  if (!result.ok()) return Fail(result.status());
+  PrintMineLine(*query, result->num_plexes, result->seconds,
+                result->timed_out, result->stopped_early);
   const ResultStore::Stats stats = (*store)->stats();
   // Machine-read by tools/store_smoke.py: keep the shape stable.
   std::printf("store tier: %s, fingerprint 0x%016llx "
@@ -526,70 +477,16 @@ int RunMine(const FlagParser& flags) {
   if (!coordinator.empty()) return RunCoordinatorMine(flags, coordinator);
   if (flags.Has("endpoints")) return RunShardedMine(flags);
   if (flags.Has("store")) return RunStoreMine(flags);
-  auto k = GetCount<uint32_t>(flags, "k", 2);
-  auto q = GetCount<uint32_t>(flags, "q", 0);
-  auto threads = GetThreads(flags);
-  auto tau = GetDuration(flags, "tau-ms", 0.1);
-  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
-  auto time_limit = GetDuration(flags, "time-limit", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), tau.status(),
-        max_results.status(), time_limit.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
-  if (*q == 0) {
-    std::fprintf(stderr, "--q is required (must be >= 2k - 1)\n");
-    return 1;
-  }
-  auto loaded = LoadInputFull(flags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
-  const Graph& graph = loaded->graph;
 
-  const std::string algo = flags.GetString("algo", "ours");
-  EnumOptions options;
-  bool use_fp_driver = false;
-  if (algo == "ours") {
-    options = EnumOptions::Ours(*k, *q);
-  } else if (algo == "ours_p") {
-    options = EnumOptions::OursP(*k, *q);
-  } else if (algo == "basic") {
-    options = EnumOptions::Basic(*k, *q);
-  } else if (algo == "listplex") {
-    options = ListPlexOptions(*k, *q);
-  } else if (algo == "fp") {
-    options = EnumOptions::Ours(*k, *q);  // validated below; driver differs
-    use_fp_driver = true;
-  } else {
-    std::fprintf(stderr, "unknown --algo '%s'\n", algo.c_str());
-    return 1;
-  }
-  options.max_results = *max_results;
-  options.time_limit_seconds = *time_limit;
-  options.use_ctcp_preprocess = flags.Has("ctcp");
-  if (!loaded->precompute.empty()) {
-    options.precompute = &loaded->precompute;
-  }
-  const std::string seed_range = flags.GetString("seed-range", "");
-  if (!seed_range.empty()) {
-    if (algo == "fp") {
-      std::fprintf(stderr,
-                   "--seed-range does not apply to the fp baseline\n");
-      return 1;
-    }
-    auto parsed_range = ParseSeedRangeText(seed_range);
-    if (!parsed_range.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   parsed_range.status().ToString().c_str());
-      return 1;
-    }
-    options.seed_range = *parsed_range;
-  }
+  // Plain mine: the QueryEngine's own dispatch, minus its catalog and
+  // cache, with the plexes going to --output or a counter.
+  auto query = QueryFromFlags(flags);
+  if (!query.ok()) return Fail(query.status());
+  auto options = EnumOptionsForQuery(*query);
+  if (!options.ok()) return Fail(options.status());
+  auto loaded = LoadInputFull(flags);
+  if (!loaded.ok()) return Fail(loaded.status());
+  if (!loaded->precompute.empty()) options->precompute = &loaded->precompute;
 
   const std::string output = flags.GetString("output", "");
   CountingSink counting;
@@ -597,41 +494,21 @@ int RunMine(const FlagParser& flags) {
   ResultSink* sink = &counting;
   if (!output.empty()) {
     file_sink = std::make_unique<FileSink>(output);
-    if (!file_sink->status().ok()) {
-      std::fprintf(stderr, "%s\n", file_sink->status().ToString().c_str());
-      return 1;
-    }
+    if (!file_sink->status().ok()) return Fail(file_sink->status());
     sink = file_sink.get();
   }
-
-  StatusOr<EnumResult> result = Status::Internal("unreachable");
-  if (use_fp_driver) {
-    result = FpEnumerate(graph, *k, *q, *sink);
-  } else if (*threads > 0) {
-    ParallelOptions parallel;
-    parallel.num_threads = *threads;
-    parallel.timeout_ms = *tau;
-    result = ParallelEnumerateMaximalKPlexes(graph, options, parallel, *sink);
-  } else {
-    result = EnumerateMaximalKPlexes(graph, options, *sink);
-  }
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  auto result = RunEnumeration(loaded->graph, *query, *options, *sink);
+  if (!result.ok()) return Fail(result.status());
   if (file_sink != nullptr) {
     Status io = file_sink->Finish();
-    if (!io.ok()) {
-      std::fprintf(stderr, "%s\n", io.ToString().c_str());
-      return 1;
-    }
+    if (!io.ok()) return Fail(io);
   }
-  std::printf("%llu maximal %lld-plexes with >= %lld vertices in %.3fs%s%s\n",
-              static_cast<unsigned long long>(result->num_plexes),
-              static_cast<long long>(*k), static_cast<long long>(*q),
-              result->seconds, result->timed_out ? " (time limit hit)" : "",
-              result->stopped_early ? " (result cap hit)" : "");
-  if (!seed_range.empty()) {
+  PrintMineLine(*query, result->num_plexes, result->seconds,
+                result->timed_out, result->stopped_early);
+  // The fp driver has no canonical seed space; it accepts only the full
+  // range, so there is no shard to report.
+  const std::string seed_range = flags.GetString("seed-range", "");
+  if (!seed_range.empty() && query->algo != QueryAlgo::kFp) {
     std::printf("seed shard %s of %llu total seeds (merge shards per "
                 "docs/SHARDING.md)\n",
                 seed_range.c_str(),
@@ -653,22 +530,20 @@ int RunMine(const FlagParser& flags) {
   return 0;
 }
 
+void PrintPlexLine(const std::vector<VertexId>& plex) {
+  for (std::size_t i = 0; i < plex.size(); ++i) {
+    std::printf("%s%u", i == 0 ? "" : " ", plex[i]);
+  }
+  std::printf("\n");
+}
+
 int RunMax(const FlagParser& flags) {
   auto graph = LoadInput(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail(graph.status());
   auto k = GetCount<uint32_t>(flags, "k", 2);
-  if (!k.ok()) {
-    std::fprintf(stderr, "%s\n", k.status().ToString().c_str());
-    return 1;
-  }
+  if (!k.ok()) return Fail(k.status());
   auto result = FindMaximumKPlex(*graph, *k);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   if (!result->found) {
     std::printf("no %lld-plex with >= %lld vertices exists\n",
                 static_cast<long long>(*k), 2 * static_cast<long long>(*k) - 1);
@@ -677,19 +552,13 @@ int RunMax(const FlagParser& flags) {
   std::printf("maximum %lld-plex has %zu vertices (%u passes, %.3fs):\n",
               static_cast<long long>(*k), result->plex.size(), result->passes,
               result->seconds);
-  for (std::size_t i = 0; i < result->plex.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : " ", result->plex[i]);
-  }
-  std::printf("\n");
+  PrintPlexLine(result->plex);
   return 0;
 }
 
 int RunReport(const FlagParser& flags) {
   auto graph = LoadInput(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail(graph.status());
   GraphStats stats = ComputeGraphStats(*graph);
   ComponentResult components = ConnectedComponents(*graph);
   std::printf("vertices:            %zu\n", stats.num_vertices);
@@ -710,10 +579,7 @@ int RunReport(const FlagParser& flags) {
 
 int RunSnapshot(const FlagParser& flags) {
   auto graph = LoadInput(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return 1;
-  }
+  if (!graph.ok()) return Fail(graph.status());
   const std::string output = flags.GetString("output", "");
   if (output.empty()) {
     std::fprintf(stderr, "--output FILE is required\n");
@@ -733,19 +599,13 @@ int RunSnapshot(const FlagParser& flags) {
   const std::string levels = flags.GetString("core-levels", "");
   if (!levels.empty()) {
     auto parsed = ParseCoreLevelList(levels);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 1;
-    }
+    if (!parsed.ok()) return Fail(parsed.status());
     options.include_precompute = true;
     options.core_mask_levels = *std::move(parsed);
   }
 
   Status saved = SaveSnapshot(*graph, output, options);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    return 1;
-  }
+  if (!saved.ok()) return Fail(saved);
   std::printf("snapshot (%s%s) of %zu vertices / %zu edges written to %s\n",
               format.c_str(),
               options.include_precompute ? ", precompute sections" : "",
@@ -753,9 +613,31 @@ int RunSnapshot(const FlagParser& flags) {
   return 0;
 }
 
+/// --listen PORT, --host H and --max-connections N of a listening
+/// command (`serve --listen`, `coordinate`).
+StatusOr<TcpServerOptions> ListenOptionsFromFlags(const FlagParser& flags) {
+  auto listen = flags.GetInt("listen", -1);
+  if (!listen.ok()) return listen.status();
+  auto max_connections = flags.GetInt("max-connections", 64);
+  if (!max_connections.ok()) return max_connections.status();
+  if (*listen < 0 || *listen > 65535) {
+    return Status::InvalidArgument(
+        "--listen must be a port in 0..65535 (0 picks an ephemeral port)");
+  }
+  if (*max_connections < 1 || *max_connections > 4096) {
+    return Status::InvalidArgument(
+        "--max-connections must be between 1 and 4096");
+  }
+  TcpServerOptions options;
+  options.host = flags.GetString("host", "127.0.0.1");
+  options.port = static_cast<uint16_t>(*listen);
+  options.max_connections = static_cast<uint32_t>(*max_connections);
+  return options;
+}
+
 #if defined(__unix__) || defined(__APPLE__)
-// Self-pipe for signal-driven serve shutdown: the handler performs one
-// async-signal-safe write; the serve loop blocks on the read end.
+// Self-pipe for signal-driven shutdown: the handler performs one
+// async-signal-safe write; ServeUntilSignal blocks on the read end.
 int g_shutdown_pipe[2] = {-1, -1};
 
 void HandleShutdownSignal(int) {
@@ -766,21 +648,51 @@ void HandleShutdownSignal(int) {
 }
 #endif
 
+/// Starts `server` and serves until SIGINT/SIGTERM, then stops it and
+/// prints "COMMAND: shutdown complete ...". `banner` prints the port
+/// line, which clients started with --listen 0 (tools/*_smoke.py,
+/// perfbench/run.py) machine-read: keep its shape stable; it is flushed
+/// at once.
+int ServeUntilSignal(TcpServer& server, const char* command,
+                     const std::function<void(uint16_t port)>& banner) {
+  Status started = server.Start();
+  if (!started.ok()) return Fail(started);
+#if defined(__unix__) || defined(__APPLE__)
+  if (pipe(g_shutdown_pipe) != 0) {
+    std::fprintf(stderr, "cannot create the shutdown pipe\n");
+    server.Stop();
+    return 1;
+  }
+  struct sigaction action = {};
+  action.sa_handler = HandleShutdownSignal;
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+
+  banner(server.port());
+  std::fflush(stdout);
+
+  char byte = 0;
+  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
+  }
+#endif  // POSIX; elsewhere Start() reports Unimplemented
+  server.Stop();
+  const TcpServer::Stats stats = server.stats();
+  std::printf("%s: shutdown complete (%llu connections served, "
+              "%llu refused)\n",
+              command, static_cast<unsigned long long>(stats.accepted),
+              static_cast<unsigned long long>(stats.refused));
+  return 0;
+}
+
 int RunServe(const FlagParser& flags) {
   auto budget_mb = flags.GetInt("memory-budget-mb", 0);
   auto cache_capacity = flags.GetInt("cache-capacity", 64);
   auto workers = flags.GetInt("workers", 1);
-  auto listen = flags.GetInt("listen", -1);
-  auto max_connections = flags.GetInt("max-connections", 64);
   auto store_budget_mb = flags.GetInt("store-budget-mb", 0);
   for (const Status& s :
        {budget_mb.status(), cache_capacity.status(), workers.status(),
-        listen.status(), max_connections.status(),
         store_budget_mb.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
+    if (!s.ok()) return Fail(s);
   }
   if (*budget_mb < 0 || *cache_capacity < 0) {
     std::fprintf(stderr,
@@ -797,17 +709,12 @@ int RunServe(const FlagParser& flags) {
     return 1;
   }
   const bool network = flags.Has("listen");
-  if (network && (*listen < 0 || *listen > 65535)) {
-    std::fprintf(stderr, "--listen must be a port in 0..65535 (0 picks an "
-                         "ephemeral port)\n");
-    return 1;
-  }
-  if (!network && (flags.Has("host") || flags.Has("max-connections"))) {
+  StatusOr<TcpServerOptions> server_options = TcpServerOptions{};
+  if (network) {
+    server_options = ListenOptionsFromFlags(flags);
+    if (!server_options.ok()) return Fail(server_options.status());
+  } else if (flags.Has("host") || flags.Has("max-connections")) {
     std::fprintf(stderr, "--host/--max-connections require --listen\n");
-    return 1;
-  }
-  if (*max_connections < 1 || *max_connections > 4096) {
-    std::fprintf(stderr, "--max-connections must be between 1 and 4096\n");
     return 1;
   }
   const std::string store_dir = flags.GetString("store", "");
@@ -864,50 +771,12 @@ int RunServe(const FlagParser& flags) {
     return 1;
   }
 
-#if !defined(__unix__) && !defined(__APPLE__)
-  std::fprintf(stderr,
-               "serve --listen requires POSIX sockets on this platform\n");
-  return 1;
-#else
-  TcpServerOptions server_options;
-  server_options.host = flags.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(*listen);
-  server_options.max_connections = static_cast<uint32_t>(*max_connections);
-  TcpServer server(api, server_options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  if (pipe(g_shutdown_pipe) != 0) {
-    std::fprintf(stderr, "cannot create the shutdown pipe\n");
-    server.Stop();
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // The port line is machine-read by clients started with --listen 0
-  // (CI smoke script): keep its shape stable and flush it immediately.
-  std::printf("serving on %s:%u (protocol v%u, %lld workers)\n",
-              server_options.host.c_str(), server.port(),
-              kProtocolVersion, static_cast<long long>(*workers));
-  std::fflush(stdout);
-
-  char byte = 0;
-  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
-  server.Stop();
-  const TcpServer::Stats stats = server.stats();
-  std::printf("serve: shutdown complete (%llu connections served, "
-              "%llu refused)\n",
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.refused));
-  return 0;
-#endif  // POSIX
+  TcpServer server(api, *server_options);
+  return ServeUntilSignal(server, "serve", [&](uint16_t port) {
+    std::printf("serving on %s:%u (protocol v%u, %lld workers)\n",
+                server_options->host.c_str(), port, kProtocolVersion,
+                static_cast<long long>(*workers));
+  });
 }
 
 /// The coordinator daemon (docs/SHARDING.md v2): a TCP server whose
@@ -915,48 +784,25 @@ int RunServe(const FlagParser& flags) {
 /// Workers listed in --workers are registered up front; more can join
 /// at runtime via `coordctl HOST:PORT register worker:port`.
 int RunCoordinate(const FlagParser& flags) {
-  auto listen = flags.GetInt("listen", -1);
-  auto max_connections = flags.GetInt("max-connections", 64);
-  auto chunks_per_worker = flags.GetInt("chunks-per-worker", 8);
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  auto steal_min_ms = flags.GetDouble("steal-min-ms", 20.0);
-  for (const Status& s :
-       {listen.status(), max_connections.status(),
-        chunks_per_worker.status(), io_timeout.status(),
-        steal_min_ms.status()}) {
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-  }
   if (!flags.Has("listen")) {
     std::fprintf(stderr, "coordinate requires --listen PORT (0 picks an "
                          "ephemeral port)\n");
     return 1;
   }
-  if (*listen < 0 || *listen > 65535) {
-    std::fprintf(stderr, "--listen must be a port in 0..65535 (0 picks an "
-                         "ephemeral port)\n");
-    return 1;
-  }
-  if (*max_connections < 1 || *max_connections > 4096) {
-    std::fprintf(stderr, "--max-connections must be between 1 and 4096\n");
-    return 1;
+  auto server_options = ListenOptionsFromFlags(flags);
+  if (!server_options.ok()) return Fail(server_options.status());
+  auto chunks_per_worker = flags.GetInt("chunks-per-worker", 8);
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  auto steal_min_ms = GetDuration(flags, "steal-min-ms", 20.0);
+  for (const Status& s : {chunks_per_worker.status(), io_timeout.status(),
+                          steal_min_ms.status()}) {
+    if (!s.ok()) return Fail(s);
   }
   if (*chunks_per_worker < 1 || *chunks_per_worker > 1024) {
     std::fprintf(stderr, "--chunks-per-worker must be between 1 and 1024\n");
     return 1;
   }
-  if (*io_timeout < 0 || *steal_min_ms < 0) {
-    std::fprintf(stderr, "--io-timeout and --steal-min-ms must be >= 0\n");
-    return 1;
-  }
 
-#if !defined(__unix__) && !defined(__APPLE__)
-  std::fprintf(stderr,
-               "coordinate requires POSIX sockets on this platform\n");
-  return 1;
-#else
   CoordinatorOptions options;
   options.chunks_per_worker = static_cast<uint32_t>(*chunks_per_worker);
   options.io_timeout_seconds = *io_timeout;
@@ -968,64 +814,25 @@ int RunCoordinate(const FlagParser& flags) {
   const std::string workers = flags.GetString("workers", "");
   if (!workers.empty()) {
     auto endpoints = ParseEndpointList(workers);
-    if (!endpoints.ok()) {
-      std::fprintf(stderr, "%s\n", endpoints.status().ToString().c_str());
-      return 1;
-    }
+    if (!endpoints.ok()) return Fail(endpoints.status());
     for (const std::string& endpoint : *endpoints) {
       auto id = coordinator->AddWorker(endpoint);
-      if (!id.ok()) {
-        std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
-        return 1;
-      }
+      if (!id.ok()) return Fail(id.status());
       ++registered;
     }
   }
 
-  TcpServerOptions server_options;
-  server_options.host = flags.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(*listen);
-  server_options.max_connections = static_cast<uint32_t>(*max_connections);
   TcpServer server(
       [coordinator](std::ostream& out) -> std::unique_ptr<WireSession> {
         return std::make_unique<CoordSession>(out, coordinator);
       },
-      [coordinator] { coordinator->Stop(); }, server_options);
-  Status started = server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "%s\n", started.ToString().c_str());
-    return 1;
-  }
-
-  if (pipe(g_shutdown_pipe) != 0) {
-    std::fprintf(stderr, "cannot create the shutdown pipe\n");
-    server.Stop();
-    return 1;
-  }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // The port line is machine-read by clients started with --listen 0
-  // (CI smoke script): keep its shape stable and flush it immediately.
-  std::printf("coordinating on %s:%u (protocol v%u, %zu workers "
-              "registered, stealing %s)\n",
-              server_options.host.c_str(), server.port(), kProtocolVersion,
-              registered, options.enable_stealing ? "on" : "off");
-  std::fflush(stdout);
-
-  char byte = 0;
-  while (read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
-  server.Stop();
-  const TcpServer::Stats stats = server.stats();
-  std::printf("coordinate: shutdown complete (%llu connections served, "
-              "%llu refused)\n",
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.refused));
-  return 0;
-#endif  // POSIX
+      [coordinator] { coordinator->Stop(); }, *server_options);
+  return ServeUntilSignal(server, "coordinate", [&](uint16_t port) {
+    std::printf("coordinating on %s:%u (protocol v%u, %zu workers "
+                "registered, stealing %s)\n",
+                server_options->host.c_str(), port, kProtocolVersion,
+                registered, options.enable_stealing ? "on" : "off");
+  });
 }
 
 /// `coordctl HOST:PORT VERB [ARGS...]`: one framed round trip against
@@ -1039,73 +846,22 @@ int RunCoordctl(const FlagParser& flags) {
                  "usage: kplex_cli coordctl HOST:PORT VERB [ARGS...]\n");
     return 2;
   }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   std::string command = positional[2];
   for (std::size_t i = 3; i < positional.size(); ++i) {
     command += ' ';
     command += positional[i];
   }
   auto request = ParseTextRequest(command);
-  if (!request.ok()) {
-    std::fprintf(stderr, "%s\n", request.status().ToString().c_str());
-    return 1;
-  }
+  if (!request.ok()) return Fail(request.status());
 
   TcpClient client;
-  Status connected = client.ConnectEndpoint(positional[1], *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionCoordination) {
-    std::fprintf(stderr, "daemon %s negotiated protocol v%u but the "
-                         "coordinator verbs need v%u (upgrade it)\n",
-                 positional[1].c_str(), *version,
-                 kProtocolVersionCoordination);
-    return 1;
-  }
-
-  request->id = 2;
-  sent = client.SendLine(FormatFramedRequest(*request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto line = client.ReadLine();
-  if (!line.ok()) {
-    std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-    return 1;
-  }
-  auto type = PeekFramedResponseType(*line);
-  if (!type.ok()) {
-    // An {"ok":false,...} frame parses as its embedded structured
-    // status (and a malformed line as a parse error); either way the
-    // raw frame goes to stderr and the exit code says "refused".
-    std::fprintf(stderr, "%s\n", line->c_str());
-    return 1;
-  }
-  std::printf("%s\n", line->c_str());
-  return 0;
+  Status opened = client.ConnectFramed(positional[1], *io_timeout,
+                                       kProtocolVersionCoordination,
+                                       "coordctl");
+  if (!opened.ok()) return Fail(opened);
+  return PrintFramedResponse(client, std::move(request->payload));
 }
 
 /// Scrapes a live `serve --listen` process's metrics registry. The
@@ -1124,73 +880,24 @@ int RunMetrics(const FlagParser& flags) {
                  format.c_str());
     return 1;
   }
-  auto io_timeout = flags.GetDouble("io-timeout", 5.0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  auto io_timeout = GetDuration(flags, "io-timeout", 5.0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   TcpClient client;
-  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-
   if (format == "json") {
-    Status sent = client.SendLine(
-        "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-    if (!sent.ok()) {
-      std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-      return 1;
-    }
-    auto hello = client.ReadLine();
-    if (!hello.ok()) {
-      std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-      return 1;
-    }
-    auto version = ParseFramedHelloVersion(*hello);
-    if (!version.ok()) {
-      std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-      return 1;
-    }
-    if (*version < 3) {
-      std::fprintf(stderr, "worker %s negotiated protocol v%u but the "
-                           "metrics verb needs v3 (upgrade the worker)\n",
-                   endpoint.c_str(), *version);
-      return 1;
-    }
-    Request request;
-    request.id = 2;
-    request.payload = MetricsRequest{};
-    sent = client.SendLine(FormatFramedRequest(request));
-    if (!sent.ok()) {
-      std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-      return 1;
-    }
-    auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
-    if (line->find("\"type\":\"error\"") != std::string::npos) {
-      std::fprintf(stderr, "%s\n", line->c_str());
-      return 1;
-    }
-    std::printf("%s\n", line->c_str());
-    return 0;
+    // Protocol v3 added the metrics verb.
+    Status opened = client.ConnectFramed(endpoint, *io_timeout,
+                                         /*min_version=*/3, "the metrics verb");
+    if (!opened.ok()) return Fail(opened);
+    return PrintFramedResponse(client, MetricsRequest{});
   }
 
+  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
+  if (!connected.ok()) return Fail(connected);
   Status sent = client.SendLine(format == "prom" ? "metrics format=prom"
                                                  : "metrics");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  if (!sent.ok()) return Fail(sent);
   auto header = client.ReadLine();
-  if (!header.ok()) {
-    std::fprintf(stderr, "%s\n", header.status().ToString().c_str());
-    return 1;
-  }
+  if (!header.ok()) return Fail(header.status());
   // The body length is announced up front ("metrics N series" /
   // "metrics prom N lines"), so the scrape knows exactly how many lines
   // to drain — no sentinel, no read-until-close.
@@ -1206,84 +913,56 @@ int RunMetrics(const FlagParser& flags) {
   }
   for (unsigned long long i = 0; i < body_lines; ++i) {
     auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
+    if (!line.ok()) return Fail(line.status());
     std::printf("%s\n", line->c_str());
   }
   return 0;
 }
 
-/// Builds the QueryRequest of a `query` invocation from its flags (the
-/// selection surface of protocol v4: bodies, filters, top-K, maximum
-/// mode, cursors). `graph` is the catalog name the request carries.
+/// Builds the QueryRequest of a `query` invocation: the shared query
+/// flags plus the selection surface of protocol v4 (bodies, filters,
+/// top-K, maximum mode, cursors). `graph` is the catalog name the
+/// request carries.
 StatusOr<QueryRequest> BuildQueryRequest(const FlagParser& flags,
                                          const std::string& graph) {
-  QueryRequest query;
-  query.graph = graph;
-  auto k = GetCount<uint32_t>(flags, "k", 2);
-  auto q = GetCount<uint32_t>(flags, "q", 0);
-  auto threads = GetThreads(flags);
-  auto max_results = GetCount<uint64_t>(flags, "max-results", 0);
-  auto time_limit = GetDuration(flags, "time-limit", 0);
+  auto query = QueryFromFlags(flags);
+  if (!query.ok()) return query;
+  query->graph = graph;
   auto chunk = GetCount<uint32_t>(flags, "chunk", 0);
   auto top = GetCount<uint64_t>(flags, "top", 0);
   auto contain = flags.GetInt("contain", -1);
   auto min_size = GetCount<uint64_t>(flags, "min-size", 0);
   auto max_size = GetCount<uint64_t>(flags, "max-size", 0);
-  for (const Status& s :
-       {k.status(), q.status(), threads.status(), max_results.status(),
-        time_limit.status(), chunk.status(), top.status(), contain.status(),
-        min_size.status(), max_size.status()}) {
+  for (const Status& s : {chunk.status(), top.status(), contain.status(),
+                          min_size.status(), max_size.status()}) {
     if (!s.ok()) return s;
   }
-  query.maximum = flags.Has("maximum");
-  if (*q == 0 && !query.maximum) {
-    return Status::InvalidArgument("--q is required (must be >= 2k - 1)");
-  }
-  query.k = *k;
-  query.q = *q;
-  query.threads = *threads;
-  query.max_results = *max_results;
-  query.time_limit_seconds = *time_limit;
-  query.use_ctcp = flags.Has("ctcp");
-  query.chunk_size = *chunk;
-  query.top_k = *top;
+  query->maximum = flags.Has("maximum");
+  query->chunk_size = *chunk;
+  query->top_k = *top;
   if (flags.Has("contain")) {
     if (*contain < 0) {
       return Status::InvalidArgument("--contain must be a vertex id >= 0");
     }
-    query.has_contain = true;
-    query.contain = static_cast<uint32_t>(*contain);
+    query->has_contain = true;
+    query->contain = static_cast<uint32_t>(*contain);
   }
-  query.filter_min_size = *min_size;
-  query.filter_max_size = *max_size;
-  const std::string algo = flags.GetString("algo", "ours");
-  auto parsed_algo = ParseQueryAlgo(algo);
-  if (!parsed_algo.ok()) return parsed_algo.status();
-  query.algo = *parsed_algo;
+  query->filter_min_size = *min_size;
+  query->filter_max_size = *max_size;
   const std::string cursor = flags.GetString("cursor", "");
   if (!cursor.empty()) {
     auto parsed_cursor = ParseCursorText(cursor);
     if (!parsed_cursor.ok()) return parsed_cursor.status();
-    query.has_cursor = true;
-    query.cursor_seed = parsed_cursor->seed;
-    query.cursor_ordinal = parsed_cursor->ordinal;
+    query->has_cursor = true;
+    query->cursor_seed = parsed_cursor->seed;
+    query->cursor_ordinal = parsed_cursor->ordinal;
   }
   // The query verb exists to show plexes: stream mode, top-K and
   // maximum mode all ask the server for bodies. A bare `query` (none of
   // the three) is a count-only probe.
-  query.collect_bodies =
-      flags.Has("stream") || query.top_k > 0 || query.maximum;
+  query->collect_bodies =
+      flags.Has("stream") || query->top_k > 0 || query->maximum;
   return query;
-}
-
-void PrintPlexLine(const std::vector<VertexId>& plex) {
-  for (std::size_t i = 0; i < plex.size(); ++i) {
-    std::printf("%s%u", i == 0 ? "" : " ", plex[i]);
-  }
-  std::printf("\n");
 }
 
 /// `query` against a live `serve --listen` worker: framed protocol v4
@@ -1297,72 +976,25 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
     return 1;
   }
   auto query = BuildQueryRequest(flags, graph);
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  auto io_timeout = flags.GetDouble("io-timeout", 0);
-  if (!io_timeout.ok() || *io_timeout < 0) {
-    std::fprintf(stderr, "--io-timeout must be a number >= 0\n");
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
+  auto io_timeout = GetDuration(flags, "io-timeout", 0);
+  if (!io_timeout.ok()) return Fail(io_timeout.status());
   TcpClient client;
-  Status connected = client.ConnectEndpoint(endpoint, *io_timeout);
-  if (!connected.ok()) {
-    std::fprintf(stderr, "%s\n", connected.ToString().c_str());
-    return 1;
-  }
-  Status sent = client.SendLine(
-      "hello proto=" + std::to_string(kProtocolVersion) + " mode=framed");
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
-  auto hello = client.ReadLine();
-  if (!hello.ok()) {
-    std::fprintf(stderr, "%s\n", hello.status().ToString().c_str());
-    return 1;
-  }
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) {
-    std::fprintf(stderr, "%s\n", version.status().ToString().c_str());
-    return 1;
-  }
-  if (*version < kProtocolVersionStreaming) {
-    std::fprintf(stderr, "worker %s negotiated protocol v%u but streamed "
-                         "queries need v%u (upgrade the worker)\n",
-                 endpoint.c_str(), *version, kProtocolVersionStreaming);
-    return 1;
-  }
-
-  Request request;
-  request.id = 2;
-  request.payload = MineRequest{*query};
-  sent = client.SendLine(FormatFramedRequest(request));
-  if (!sent.ok()) {
-    std::fprintf(stderr, "%s\n", sent.ToString().c_str());
-    return 1;
-  }
+  Status opened = client.ConnectFramed(endpoint, *io_timeout,
+                                       kProtocolVersionStreaming,
+                                       "a streamed query");
+  if (!opened.ok()) return Fail(opened);
 
   uint64_t streamed = 0;
   uint64_t expected_seq = 0;
-  for (;;) {
-    auto line = client.ReadLine();
-    if (!line.ok()) {
-      std::fprintf(stderr, "%s\n", line.status().ToString().c_str());
-      return 1;
-    }
+  for (auto line = SendFramed(client, MineRequest{*query});;
+       line = client.ReadLine()) {
+    if (!line.ok()) return Fail(line.status());
     auto type = PeekFramedResponseType(*line);
-    if (!type.ok()) {
-      std::fprintf(stderr, "%s\n", type.status().ToString().c_str());
-      return 1;
-    }
+    if (!type.ok()) return Fail(type.status());
     if (*type == "result_chunk") {
       auto chunk = ParseFramedResultChunk(*line);
-      if (!chunk.ok()) {
-        std::fprintf(stderr, "%s\n", chunk.status().ToString().c_str());
-        return 1;
-      }
+      if (!chunk.ok()) return Fail(chunk.status());
       if (chunk->seq != expected_seq) {
         std::fprintf(stderr, "stream out of order: expected chunk %llu, "
                              "got %llu\n",
@@ -1379,10 +1011,7 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
     }
     if (*type == "mine") {
       auto verdict = ParseFramedMineResult(*line);
-      if (!verdict.ok()) {
-        std::fprintf(stderr, "%s\n", verdict.status().ToString().c_str());
-        return 1;
-      }
+      if (!verdict.ok()) return Fail(verdict.status());
       if (query->collect_bodies && verdict->bodies != streamed) {
         std::fprintf(stderr, "stream truncated: server buffered %llu "
                              "bodies but %llu arrived\n",
@@ -1417,27 +1046,15 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
 /// served by an in-process QueryEngine (no server round trip).
 int RunLocalQuery(const FlagParser& flags) {
   auto loaded = LoadInput(flags);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-    return 1;
-  }
+  if (!loaded.ok()) return Fail(loaded.status());
   GraphCatalog catalog;
   Status registered = catalog.RegisterGraph("input", *std::move(loaded));
-  if (!registered.ok()) {
-    std::fprintf(stderr, "%s\n", registered.ToString().c_str());
-    return 1;
-  }
+  if (!registered.ok()) return Fail(registered);
   auto query = BuildQueryRequest(flags, "input");
-  if (!query.ok()) {
-    std::fprintf(stderr, "%s\n", query.status().ToString().c_str());
-    return 1;
-  }
+  if (!query.ok()) return Fail(query.status());
   QueryEngine engine(catalog, /*cache_capacity=*/0);
   auto result = engine.Run(*query);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  if (!result.ok()) return Fail(result.status());
   if (result->plexes != nullptr) {
     for (const std::vector<VertexId>& plex : *result->plexes) {
       PrintPlexLine(plex);
@@ -1514,52 +1131,53 @@ int Main(int argc, char** argv) {
 
   // Each command rejects the other commands' flags: a serve-only flag
   // on `mine` is a typo the user should hear about, not a no-op.
-  std::vector<std::string> known;
+  std::vector<std::string> known = {"log-level", "log-json", "trace",
+                                    "metrics-dump"};
+  const auto accept = [&known](std::vector<std::string> more) {
+    known.insert(known.end(), more.begin(), more.end());
+  };
   int (*run)(const FlagParser&) = nullptr;
   if (command == "mine") {
-    known = {"input", "dataset", "k", "q", "algo", "threads", "tau-ms",
-             "output", "max-results", "time-limit", "ctcp", "seed-range",
-             "endpoints", "graph", "io-timeout",
-             "coordinator", "store", "store-budget-mb"};
+    accept(kQueryFlags);
+    accept({"input", "dataset", "output", "endpoints", "graph", "io-timeout",
+            "coordinator", "store", "store-budget-mb"});
     run = RunMine;
   } else if (command == "max") {
-    known = {"input", "dataset", "k"};
+    accept({"input", "dataset", "k"});
     run = RunMax;
   } else if (command == "report") {
-    known = {"input", "dataset"};
+    accept({"input", "dataset"});
     run = RunReport;
   } else if (command == "snapshot") {
-    known = {"input", "dataset", "output", "precompute", "core-levels",
-             "format"};
+    accept({"input", "dataset", "output", "precompute", "core-levels",
+            "format"});
     run = RunSnapshot;
   } else if (command == "serve") {
-    known = {"script", "memory-budget-mb", "cache-capacity", "workers",
-             "echo", "listen", "host", "max-connections", "store",
-             "store-budget-mb"};
+    accept({"script", "memory-budget-mb", "cache-capacity", "workers", "echo",
+            "listen", "host", "max-connections", "store", "store-budget-mb"});
     run = RunServe;
   } else if (command == "coordinate") {
-    known = {"listen", "host", "max-connections", "workers",
-             "chunks-per-worker", "io-timeout", "no-steal", "steal-min-ms"};
+    accept({"listen", "host", "max-connections", "workers",
+            "chunks-per-worker", "io-timeout", "no-steal", "steal-min-ms"});
     run = RunCoordinate;
   } else if (command == "coordctl") {
-    known = {"io-timeout"};
+    accept({"io-timeout"});
     run = RunCoordctl;
   } else if (command == "metrics") {
-    known = {"endpoint", "format", "io-timeout"};
+    accept({"endpoint", "format", "io-timeout"});
     run = RunMetrics;
   } else if (command == "query") {
-    known = {"endpoint", "graph", "input", "dataset", "k", "q", "algo",
-             "threads", "max-results", "time-limit", "ctcp", "stream",
-             "chunk", "top", "contain", "min-size", "max-size", "maximum",
-             "cursor", "io-timeout"};
+    accept(std::vector<std::string>(kQueryFlags.begin(),
+                                    kQueryFlags.end() - 2));
+    accept({"endpoint", "graph", "input", "dataset", "stream", "chunk", "top",
+            "contain", "min-size", "max-size", "maximum", "cursor",
+            "io-timeout"});
     run = RunQuery;
   } else if (command == "datasets") {
     run = [](const FlagParser&) { return RunDatasets(); };
   } else {
     return Usage();
   }
-  known.insert(known.end(),
-               {"log-level", "log-json", "trace", "metrics-dump"});
   auto unknown = flags.UnknownFlags(known);
   if (!unknown.empty()) {
     std::fprintf(stderr, "unknown flag --%s for '%s'\n",
