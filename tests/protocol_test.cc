@@ -813,6 +813,542 @@ TEST(ProtocolFramed, ResponseShape) {
   EXPECT_NE(error.find("\"message\":\"nope\""), std::string::npos) << error;
 }
 
+// ------------------------------------------------------- response corpus
+
+/// A finished job over `query` with every result field set.
+JobInfo DoneJob(uint64_t id, QueryRequest query) {
+  JobInfo job;
+  job.id = id;
+  job.request = std::move(query);
+  job.state = JobState::kDone;
+  job.started = true;
+  job.result.num_plexes = 2566;
+  job.result.max_plex_size = 14;
+  job.result.fingerprint = 0x0123456789abcdefULL;
+  job.result.fingerprint_xor = 0x00000000deadbeefULL;
+  job.result.total_seeds = 5000;
+  job.result.seconds = 1.8102;
+  job.result.compute_seconds = 1.75;
+  return job;
+}
+
+QueryRequest WebQuery() {
+  QueryRequest query;
+  query.graph = "web";
+  query.k = 2;
+  query.q = 12;
+  return query;
+}
+
+/// The response corpus: one (or more) of every ResponsePayload
+/// alternative, covering each conditional part of the framed shapes.
+std::vector<Response> ResponseCorpus() {
+  std::vector<Response> corpus;
+  auto add = [&corpus](ResponsePayload payload, uint64_t id = 0) {
+    Response response;
+    response.request_id = id;
+    response.payload = std::move(payload);
+    corpus.push_back(std::move(response));
+  };
+
+  add(HelloResponse{});
+  add(HelloResponse{2, WireMode::kFramed}, 11);
+  add(LoadResponse{"web", 875713, 4322051, 0.0021, ""}, 42);
+  add(LoadResponse{"kc", 34, 78, 0.5, "karate"});
+  add(SnapshotResponse{"web", "/tmp/web.kpx", true}, 7);
+
+  // The echo carries the run options and leaves the selection out.
+  QueryRequest loaded = WebQuery();
+  loaded.algo = QueryAlgo::kListPlex;
+  loaded.threads = 8;
+  loaded.max_results = 1000;
+  loaded.time_limit_seconds = 2.5;
+  loaded.tau_ms = 0.25;
+  loaded.use_ctcp = true;
+  loaded.use_cache = false;
+  loaded.collect_bodies = true;
+  loaded.chunk_size = 7;
+  loaded.filter_min_size = 13;
+  loaded.top_k = 5;
+  JobInfo streamed = DoneJob(3, loaded);
+  streamed.result.from_cache = true;
+  streamed.result.reduction_precomputed = true;
+  streamed.result.stopped_early = true;
+  streamed.result.plexes =
+      std::make_shared<std::vector<std::vector<VertexId>>>(
+          std::vector<std::vector<VertexId>>{{1, 2}, {3, 4}, {5, 6}});
+  streamed.result.has_cursor = true;
+  streamed.result.cursor_seed = 17;
+  streamed.result.cursor_ordinal = 4;
+  add(MineResponse{streamed}, 9);
+
+  JobInfo plain = DoneJob(4, WebQuery());
+  add(MineResponse{plain});
+
+  JobInfo empty_bodies = DoneJob(5, WebQuery());  // bodies, none found
+  empty_bodies.result.num_plexes = 0;
+  empty_bodies.result.max_plex_size = 0;
+  empty_bodies.result.timed_out = true;
+  empty_bodies.result.plexes =
+      std::make_shared<std::vector<std::vector<VertexId>>>();
+  add(MineResponse{empty_bodies}, 10);
+
+  JobInfo failed;
+  failed.id = 6;
+  failed.request = WebQuery();
+  failed.state = JobState::kFailed;
+  failed.status = Status::NotFound("no graph named 'web' is registered");
+  add(MineResponse{failed}, 12);
+
+  JobInfo never_ran;
+  never_ran.id = 7;
+  never_ran.request = WebQuery();
+  never_ran.state = JobState::kCancelled;
+  add(MineResponse{never_ran});
+
+  JobInfo cut = DoneJob(8, WebQuery());  // cancelled mid-run: partial
+  cut.state = JobState::kCancelled;
+  cut.result.cancelled = true;
+  add(MineResponse{cut}, 13);
+
+  add(SubmitResponse{4, loaded}, 14);
+
+  QueryRequest ranged = WebQuery();
+  ranged.seed_begin = 100;
+  ranged.seed_end = 200;
+  add(ShardResultResponse{DoneJob(9, ranged), 0x00000000c0ffee00ULL}, 15);
+
+  JobInfo yielded = DoneJob(10, ranged);
+  yielded.result.yielded = true;
+  yielded.result.covered_begin = 100;
+  yielded.result.covered_end = 140;
+  add(ShardResultResponse{yielded, 0x00000000c0ffee00ULL});
+
+  JobInfo failed_shard = failed;
+  failed_shard.request = ranged;
+  failed_shard.status = Status::FailedPrecondition(
+      "graph content hash mismatch for 'web'");
+  add(ShardResultResponse{failed_shard, 0}, 16);
+
+  add(PlanResponse{"web", 3, 0xbe7c0cfa5f1eee74ULL, 5, {4, 0, 2}, {5, 1, 3},
+                   true, 0.004},
+      17);
+  add(PlanResponse{"g", 0, 0x1ULL, 0, {}, {}, false, 0.5});
+  add(ShardSubmitResponse{21, 0x00000000c0ffee00ULL}, 18);
+  add(ShardStopResponse{21});
+  add(WorkerAckResponse{3, "idle"}, 19);
+  add(WorkersResponse{{{1, "127.0.0.1:7401", "busy", 4, 0},
+                       {2, "127.0.0.1:7402", "dead", 1, 2}}});
+  add(WorkersResponse{});
+  add(ResultChunkResponse{3, 1, false, {{1, 2, 3}, {4, 5}}}, 20);
+  add(ResultChunkResponse{3, 0, true, {}});
+  add(CancelResponse{17});
+
+  JobInfo running;
+  running.id = 11;
+  running.request = WebQuery();
+  running.state = JobState::kRunning;
+  running.started = true;
+  add(JobsResponse{{running, plain, failed}}, 22);
+  add(WaitResponse{plain});
+  add(WaitAllResponse{{0, 0, 2, 1, 1}, {6}}, 23);
+
+  StatsResponse stats;
+  CatalogEntryInfo graph;
+  graph.name = "kc";
+  graph.source = "dataset:karate";
+  graph.resident = true;
+  graph.evictable = true;
+  graph.num_vertices = 34;
+  graph.num_edges = 78;
+  graph.memory_bytes = 2048;
+  graph.precompute = "none";
+  graph.content_hash = 0x00000000c0ffee00ULL;
+  graph.loads = 1;
+  graph.last_load_seconds = 0.25;
+  stats.graphs.push_back(graph);
+  stats.resident_bytes = 2048;
+  stats.memory_budget_bytes = 1 << 20;
+  stats.cache = {3, 1, 2, 64};
+  stats.jobs = {0, 1, 2, 0, 0};
+  stats.workers = 2;
+  add(stats);  // store off
+  StoreResponse store;
+  store.info = {true, 3, 2048, 4 << 20, 7, 2, 5, 1, 0};
+  stats.store = store.info;
+  add(stats, 24);  // store on
+
+  MetricsResponse metrics;
+  metrics.snapshot.counters = {{"kplex_requests_total", 5}};
+  metrics.snapshot.gauges = {{"kplex_jobs_running", -1}};
+  metrics.snapshot.histograms = {
+      {"kplex_request_seconds", 2, 0.5, 0.1, 0.4, 0.4, {0.1, 1}, {1, 1, 0}}};
+  add(metrics, 25);
+  add(EvictResponse{"web"});
+  add(store, 26);
+  StoreResponse evicted = store;
+  evicted.evicted = true;
+  evicted.evicted_entries = 3;
+  evicted.evicted_bytes = 2048;
+  add(evicted);
+  add(StoreResponse{});  // store off
+  add(HelpResponse{});
+  add(ByeResponse{}, 27);
+  add(ErrorResponse{Status::InvalidArgument("usage: cancel ID")}, 28);
+  return corpus;
+}
+
+TEST(ProtocolCorpus, CoversEveryResponsePayload) {
+  std::vector<bool> seen(std::variant_size_v<ResponsePayload>, false);
+  for (const Response& response : ResponseCorpus()) {
+    seen[response.payload.index()] = true;
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_TRUE(seen[i]) << "no corpus entry for ResponsePayload index " << i;
+  }
+}
+
+/// The help text as the framed wire escapes it (newlines as \\n).
+std::string EscapedHelpText() {
+  std::string escaped;
+  for (char c : TextOf(HelpResponse{})) {
+    if (c == '\n') {
+      escaped += "\\n";
+    } else {
+      if (c == '"' || c == '\\') escaped += '\\';
+      escaped += c;
+    }
+  }
+  return escaped;
+}
+
+/// Framed bytes of every response corpus entry, index-aligned with
+/// ResponseCorpus(): key order, conditional keys, number and hex
+/// spelling.
+const std::vector<std::string>& ResponseWireGoldens() {
+  static const std::vector<std::string> goldens = {
+      "{\"id\":0,\"ok\":true,\"type\":\"hello\",\"proto\":6,"
+      "\"mode\":\"framed\"}",
+      "{\"id\":11,\"ok\":true,\"type\":\"hello\",\"proto\":2,"
+      "\"mode\":\"framed\"}",
+      "{\"id\":42,\"ok\":true,\"type\":\"load\",\"name\":\"web\","
+      "\"vertices\":875713,\"edges\":4322051,\"seconds\":0.0021}",
+      "{\"id\":0,\"ok\":true,\"type\":\"load\",\"name\":\"kc\","
+      "\"vertices\":34,\"edges\":78,\"seconds\":0.5,\"dataset\":\"karate\"}",
+      "{\"id\":7,\"ok\":true,\"type\":\"snapshot\",\"name\":\"web\","
+      "\"path\":\"/tmp/web.kpx\",\"precompute\":true}",
+      "{\"id\":9,\"ok\":true,\"type\":\"mine\",\"job\":3,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"listplex\","
+      "\"threads\":8,\"max_results\":1000,\"time_limit\":2.5,\"tau_ms\":0.25,"
+      "\"ctcp\":true,\"cache\":false},\"state\":\"done\",\"started\":true,"
+      "\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":true,\"precomputed\":true,"
+      "\"timed_out\":false,\"stopped_early\":true,\"cancelled\":false,"
+      "\"bodies\":3,\"cursor\":\"17:4\"}",
+      "{\"id\":0,\"ok\":true,\"type\":\"mine\",\"job\":4,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"done\",\"started\":true,\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":false,\"stopped_early\":false,\"cancelled\":false}",
+      "{\"id\":10,\"ok\":true,\"type\":\"mine\",\"job\":5,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"done\",\"started\":true,\"plexes\":0,\"max_size\":0,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":true,\"stopped_early\":false,\"cancelled\":false,"
+      "\"bodies\":0}",
+      "{\"id\":12,\"ok\":true,\"type\":\"mine\",\"job\":6,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"failed\",\"started\":false,"
+      "\"error\":{\"code\":\"NOT_FOUND\","
+      "\"message\":\"no graph named 'web' is registered\"}}",
+      "{\"id\":0,\"ok\":true,\"type\":\"mine\",\"job\":7,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"cancelled\",\"started\":false}",
+      "{\"id\":13,\"ok\":true,\"type\":\"mine\",\"job\":8,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"cancelled\",\"started\":true,\"plexes\":2566,"
+      "\"max_size\":14,\"fingerprint\":\"0x0123456789abcdef\","
+      "\"seconds\":1.8102,\"compute_seconds\":1.75,\"cached\":false,"
+      "\"precomputed\":false,\"timed_out\":false,\"stopped_early\":false,"
+      "\"cancelled\":true}",
+      "{\"id\":14,\"ok\":true,\"type\":\"submitted\",\"job\":4,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"listplex\","
+      "\"threads\":8,\"max_results\":1000,\"time_limit\":2.5,\"tau_ms\":0.25,"
+      "\"ctcp\":true,\"cache\":false}}",
+      "{\"id\":15,\"ok\":true,\"type\":\"shard_result\",\"job\":9,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\","
+      "\"seed_begin\":100,\"seed_end\":200},\"state\":\"done\","
+      "\"started\":true,\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":false,\"stopped_early\":false,\"cancelled\":false,"
+      "\"fingerprint_xor\":\"0x00000000deadbeef\",\"total_seeds\":5000,"
+      "\"content_hash\":\"0x00000000c0ffee00\"}",
+      "{\"id\":0,\"ok\":true,\"type\":\"shard_result\",\"job\":10,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\","
+      "\"seed_begin\":100,\"seed_end\":200},\"state\":\"done\","
+      "\"started\":true,\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":false,\"stopped_early\":false,\"cancelled\":false,"
+      "\"fingerprint_xor\":\"0x00000000deadbeef\",\"total_seeds\":5000,"
+      "\"yielded\":true,\"covered_begin\":100,\"covered_end\":140,"
+      "\"content_hash\":\"0x00000000c0ffee00\"}",
+      "{\"id\":16,\"ok\":true,\"type\":\"shard_result\",\"job\":6,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\","
+      "\"seed_begin\":100,\"seed_end\":200},\"state\":\"failed\","
+      "\"started\":false,\"error\":{\"code\":\"FAILED_PRECONDITION\","
+      "\"message\":\"graph content hash mismatch for 'web'\"},"
+      "\"content_hash\":\"0x0000000000000000\"}",
+      "{\"id\":17,\"ok\":true,\"type\":\"plan\",\"graph\":\"web\","
+      "\"total_seeds\":3,\"content_hash\":\"0xbe7c0cfa5f1eee74\","
+      "\"degeneracy\":5,\"precomputed\":true,\"seconds\":0.004,"
+      "\"degrees\":[4,0,2],\"coreness\":[5,1,3]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"plan\",\"graph\":\"g\","
+      "\"total_seeds\":0,\"content_hash\":\"0x0000000000000001\","
+      "\"degeneracy\":0,\"precomputed\":false,\"seconds\":0.5,\"degrees\":[],"
+      "\"coreness\":[]}",
+      "{\"id\":18,\"ok\":true,\"type\":\"shard_submitted\",\"job\":21,"
+      "\"content_hash\":\"0x00000000c0ffee00\"}",
+      "{\"id\":0,\"ok\":true,\"type\":\"shard_stopping\",\"job\":21}",
+      "{\"id\":19,\"ok\":true,\"type\":\"worker_ack\",\"worker\":3,"
+      "\"state\":\"idle\"}",
+      "{\"id\":0,\"ok\":true,\"type\":\"workers\",\"workers\":[{\"worker\":1,"
+      "\"endpoint\":\"127.0.0.1:7401\",\"state\":\"busy\",\"chunks_done\":4,"
+      "\"chunks_failed\":0},{\"worker\":2,\"endpoint\":\"127.0.0.1:7402\","
+      "\"state\":\"dead\",\"chunks_done\":1,\"chunks_failed\":2}]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"workers\",\"workers\":[]}",
+      "{\"id\":20,\"ok\":true,\"type\":\"result_chunk\",\"job\":3,\"seq\":1,"
+      "\"last\":false,\"plexes\":[[1,2,3],[4,5]]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"result_chunk\",\"job\":3,\"seq\":0,"
+      "\"last\":true,\"plexes\":[]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"cancelling\",\"job\":17}",
+      "{\"id\":22,\"ok\":true,\"type\":\"jobs\",\"jobs\":[{\"job\":11,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"running\",\"started\":true},{\"job\":4,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"done\",\"started\":true,\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":false,\"stopped_early\":false,\"cancelled\":false},"
+      "{\"job\":6,\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,"
+      "\"algo\":\"ours\"},\"state\":\"failed\",\"started\":false,"
+      "\"error\":{\"code\":\"NOT_FOUND\","
+      "\"message\":\"no graph named 'web' is registered\"}}]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"wait\",\"job\":4,"
+      "\"query\":{\"graph\":\"web\",\"k\":2,\"q\":12,\"algo\":\"ours\"},"
+      "\"state\":\"done\",\"started\":true,\"plexes\":2566,\"max_size\":14,"
+      "\"fingerprint\":\"0x0123456789abcdef\",\"seconds\":1.8102,"
+      "\"compute_seconds\":1.75,\"cached\":false,\"precomputed\":false,"
+      "\"timed_out\":false,\"stopped_early\":false,\"cancelled\":false}",
+      "{\"id\":23,\"ok\":true,\"type\":\"wait_all\",\"done\":2,"
+      "\"cancelled\":1,\"failed\":1,\"failed_jobs\":[6]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"stats\",\"graphs\":[{\"name\":\"kc\","
+      "\"source\":\"dataset:karate\",\"resident\":true,\"evictable\":true,"
+      "\"mapped\":false,\"vertices\":34,\"edges\":78,\"owned_bytes\":2048,"
+      "\"mapped_bytes\":0,\"precompute\":\"none\","
+      "\"content_hash\":\"0x00000000c0ffee00\",\"loads\":1,"
+      "\"load_seconds\":0.25}],\"resident_bytes\":2048,"
+      "\"mapped_resident_bytes\":0,\"budget_bytes\":1048576,"
+      "\"cache\":{\"entries\":2,\"capacity\":64,\"hits\":3,\"misses\":1},"
+      "\"dispatcher\":{\"workers\":2,\"queued\":0,\"running\":1,\"done\":2,"
+      "\"cancelled\":0,\"failed\":0},\"store\":{\"enabled\":false}}",
+      "{\"id\":24,\"ok\":true,\"type\":\"stats\","
+      "\"graphs\":[{\"name\":\"kc\",\"source\":\"dataset:karate\","
+      "\"resident\":true,\"evictable\":true,\"mapped\":false,\"vertices\":34,"
+      "\"edges\":78,\"owned_bytes\":2048,\"mapped_bytes\":0,"
+      "\"precompute\":\"none\",\"content_hash\":\"0x00000000c0ffee00\","
+      "\"loads\":1,\"load_seconds\":0.25}],\"resident_bytes\":2048,"
+      "\"mapped_resident_bytes\":0,\"budget_bytes\":1048576,"
+      "\"cache\":{\"entries\":2,\"capacity\":64,\"hits\":3,\"misses\":1},"
+      "\"dispatcher\":{\"workers\":2,\"queued\":0,\"running\":1,\"done\":2,"
+      "\"cancelled\":0,\"failed\":0},\"store\":{\"enabled\":true,"
+      "\"entries\":3,\"bytes\":2048,\"budget_bytes\":4194304,\"hits\":7,"
+      "\"misses\":2,\"writes\":5,\"evictions\":1,\"corrupt\":0}}",
+      "{\"id\":25,\"ok\":true,\"type\":\"metrics\","
+      "\"counters\":[{\"name\":\"kplex_requests_total\",\"value\":5}],"
+      "\"gauges\":[{\"name\":\"kplex_jobs_running\",\"value\":-1}],"
+      "\"histograms\":[{\"name\":\"kplex_request_seconds\",\"count\":2,"
+      "\"sum\":0.5,\"p50\":0.1,\"p95\":0.4,\"p99\":0.4,\"le\":[0.1,1],"
+      "\"buckets\":[1,1,0]}]}",
+      "{\"id\":0,\"ok\":true,\"type\":\"evicted\",\"name\":\"web\"}",
+      "{\"id\":26,\"ok\":true,\"type\":\"store\",\"evicted\":false,"
+      "\"store\":{\"enabled\":true,\"entries\":3,\"bytes\":2048,"
+      "\"budget_bytes\":4194304,\"hits\":7,\"misses\":2,\"writes\":5,"
+      "\"evictions\":1,\"corrupt\":0}}",
+      "{\"id\":0,\"ok\":true,\"type\":\"store\",\"evicted\":true,"
+      "\"evicted_entries\":3,\"evicted_bytes\":2048,"
+      "\"store\":{\"enabled\":true,\"entries\":3,\"bytes\":2048,"
+      "\"budget_bytes\":4194304,\"hits\":7,\"misses\":2,\"writes\":5,"
+      "\"evictions\":1,\"corrupt\":0}}",
+      "{\"id\":0,\"ok\":true,\"type\":\"store\",\"evicted\":false,"
+      "\"store\":{\"enabled\":false}}",
+      // The help text is the text wire's, JSON-escaped.
+      "{\"id\":0,\"ok\":true,\"type\":\"help\",\"text\":\"" +
+          EscapedHelpText() + "\"}",
+      "{\"id\":27,\"ok\":true,\"type\":\"bye\"}",
+      "{\"id\":28,\"ok\":false,\"type\":\"error\","
+      "\"code\":\"INVALID_ARGUMENT\",\"message\":\"usage: cancel ID\"}",
+  };
+  return goldens;
+}
+
+TEST(ProtocolFramed, ResponseMatchesWireGoldens) {
+  const std::vector<Response> corpus = ResponseCorpus();
+  ASSERT_EQ(corpus.size(), ResponseWireGoldens().size());
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(FormatFramedResponse(corpus[i]), ResponseWireGoldens()[i])
+        << "corpus entry " << i;
+  }
+}
+
+// Round trips: each client decoder, fed a corpus frame it reads,
+// reproduces every field it decodes. Error frames come back from any
+// decoder as the embedded status.
+
+void ExpectJobDecodes(const StatusOr<ParsedMineResult>& decoded,
+                      uint64_t id, const JobInfo& job) {
+  if (job.state == JobState::kFailed) {
+    EXPECT_EQ(decoded.status(), job.status);
+    return;
+  }
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->state, JobStateName(job.state));
+  EXPECT_EQ(decoded->plexes, job.result.num_plexes);
+  EXPECT_EQ(decoded->max_size, job.result.max_plex_size);
+  EXPECT_EQ(decoded->fingerprint, job.result.fingerprint);
+  EXPECT_EQ(decoded->seconds, job.result.seconds);
+  EXPECT_EQ(decoded->cached, job.result.from_cache);
+  EXPECT_EQ(decoded->timed_out, job.result.timed_out);
+  EXPECT_EQ(decoded->stopped_early, job.result.stopped_early);
+  EXPECT_EQ(decoded->cancelled, job.result.cancelled);
+  EXPECT_EQ(decoded->bodies,
+            job.result.plexes != nullptr ? job.result.plexes->size() : 0);
+  EXPECT_EQ(decoded->has_cursor, job.result.has_cursor);
+  EXPECT_EQ(decoded->cursor_seed, job.result.cursor_seed);
+  EXPECT_EQ(decoded->cursor_ordinal, job.result.cursor_ordinal);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const HelloResponse& hello) {
+  auto decoded = ParseFramedHelloVersion(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, hello.version);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const MineResponse& mine) {
+  ExpectJobDecodes(ParseFramedMineResult(line), id, mine.job);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const ShardResultResponse& shard) {
+  auto decoded = ParseFramedShardResult(line);
+  if (shard.job.state == JobState::kFailed) {
+    EXPECT_EQ(decoded.status(), shard.job.status);
+    return;
+  }
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->state, JobStateName(shard.job.state));
+  EXPECT_EQ(decoded->plexes, shard.job.result.num_plexes);
+  EXPECT_EQ(decoded->max_size, shard.job.result.max_plex_size);
+  EXPECT_EQ(decoded->fingerprint, shard.job.result.fingerprint);
+  EXPECT_EQ(decoded->fingerprint_xor, shard.job.result.fingerprint_xor);
+  EXPECT_EQ(decoded->total_seeds, shard.job.result.total_seeds);
+  EXPECT_EQ(decoded->content_hash, shard.content_hash);
+  EXPECT_EQ(decoded->seconds, shard.job.result.seconds);
+  EXPECT_EQ(decoded->timed_out, shard.job.result.timed_out);
+  EXPECT_EQ(decoded->stopped_early, shard.job.result.stopped_early);
+  EXPECT_EQ(decoded->cancelled, shard.job.result.cancelled);
+  EXPECT_EQ(decoded->yielded, shard.job.result.yielded);
+  EXPECT_EQ(decoded->covered_begin, shard.job.result.covered_begin);
+  EXPECT_EQ(decoded->covered_end, shard.job.result.covered_end);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const PlanResponse& plan) {
+  auto decoded = ParseFramedPlan(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->total_seeds, plan.total_seeds);
+  EXPECT_EQ(decoded->content_hash, plan.content_hash);
+  EXPECT_EQ(decoded->degeneracy, plan.degeneracy);
+  EXPECT_EQ(decoded->degrees, plan.degrees);
+  EXPECT_EQ(decoded->coreness, plan.coreness);
+  EXPECT_EQ(decoded->precomputed, plan.precomputed);
+  EXPECT_EQ(decoded->seconds, plan.seconds);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const ShardSubmitResponse& submit) {
+  auto decoded = ParseFramedShardSubmit(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->job, submit.job);
+  EXPECT_EQ(decoded->content_hash, submit.content_hash);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const ShardStopResponse& stop) {
+  auto decoded = ParseFramedShardStop(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, stop.job);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const WorkerAckResponse& ack) {
+  auto decoded = ParseFramedWorkerAck(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->worker, ack.worker);
+  EXPECT_EQ(decoded->state, ack.state);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t id,
+                   const ResultChunkResponse& chunk) {
+  auto decoded = ParseFramedResultChunk(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->job, chunk.job);
+  EXPECT_EQ(decoded->seq, chunk.seq);
+  EXPECT_EQ(decoded->last, chunk.last);
+  EXPECT_EQ(decoded->plexes, chunk.plexes);
+}
+
+void ExpectDecodes(const std::string& line, uint64_t,
+                   const ErrorResponse& error) {
+  EXPECT_EQ(ParseFramedHelloVersion(line).status(), error.status);
+  EXPECT_EQ(ParseFramedMineResult(line).status(), error.status);
+  EXPECT_EQ(ParseFramedShardResult(line).status(), error.status);
+  EXPECT_EQ(ParseFramedPlan(line).status(), error.status);
+  EXPECT_EQ(ParseFramedShardSubmit(line).status(), error.status);
+  EXPECT_EQ(ParseFramedShardStop(line).status(), error.status);
+  EXPECT_EQ(ParseFramedWorkerAck(line).status(), error.status);
+  EXPECT_EQ(ParseFramedResultChunk(line).status(), error.status);
+  EXPECT_EQ(PeekFramedResponseType(line).status(), error.status);
+}
+
+/// Frames no client decodes.
+template <typename Payload>
+void ExpectDecodes(const std::string&, uint64_t, const Payload&) {}
+
+TEST(ProtocolFramed, DecodersRoundTripTheResponseCorpus) {
+  for (const Response& response : ResponseCorpus()) {
+    const std::string line = FormatFramedResponse(response);
+    SCOPED_TRACE(line);
+    std::visit(
+        [&](const auto& payload) {
+          ExpectDecodes(line, response.request_id, payload);
+        },
+        response.payload);
+  }
+}
+
 // -------------------------------------------- framed client-side decode
 
 TEST(ProtocolFramed, ShardResultRoundTripsThroughTheClientDecoder) {
