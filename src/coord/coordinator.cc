@@ -648,8 +648,8 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
       submit_request.payload = std::move(submit);
       RoundTrip trip =
           RoundTripLine(client, FormatFramedRequest(submit_request));
-      StatusOr<ParsedShardSubmit> submitted =
-          trip.transport_failed ? StatusOr<ParsedShardSubmit>(
+      StatusOr<ShardSubmitResponse> submitted =
+          trip.transport_failed ? StatusOr<ShardSubmitResponse>(
                                       trip.transport_error)
                                 : ParseFramedShardSubmit(trip.line);
       lock.lock();
@@ -696,9 +696,9 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
       WallTimer chunk_timer;
       trip = RoundTripLine(client, FormatFramedRequest(wait_request));
       const double chunk_seconds = chunk_timer.ElapsedSeconds();
-      StatusOr<ParsedShardResult> result =
+      StatusOr<JobSummary> result =
           trip.transport_failed
-              ? StatusOr<ParsedShardResult>(trip.transport_error)
+              ? StatusOr<JobSummary>(trip.transport_error)
               : ParseFramedShardResult(trip.line);
       if (!trip.transport_failed && result.ok()) {
         RecordSpan(run->trace_id, "coord_chunk", chunk_seconds,

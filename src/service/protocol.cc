@@ -71,10 +71,8 @@ StatusOr<double> ParseDoubleValue(const std::string& key,
   }
 }
 
-/// A seed range (begin, end) and a resume cursor (seed, ordinal) as
-/// the wire's "B:E" / "SEED:ORDINAL" value pairs.
+/// A seed range (begin, end) as the wire's "B:E" value pair.
 using SeedPair = std::pair<uint32_t, uint32_t>;
-using CursorPair = std::pair<uint32_t, uint64_t>;
 
 /// Parses "B:E" into a half-open seed range; E may be the literal
 /// "end" (= UINT32_MAX, "to the last seed").
@@ -108,22 +106,6 @@ std::string FormatSeedRangeValue(const SeedPair& range) {
   return std::to_string(range.first) + ":" +
          (range.second == UINT32_MAX ? std::string("end")
                                      : std::to_string(range.second));
-}
-
-/// Parses the resume-token grammar "SEED:ORDINAL".
-StatusOr<CursorPair> ParseCursorValue(const std::string&,
-                                      const std::string& value) {
-  const std::size_t colon = value.find(':');
-  if (colon == std::string::npos) {
-    return Status::InvalidArgument(
-        "cursor must be SEED:ORDINAL (the resume token a truncated run "
-        "returned), got '" + value + "'");
-  }
-  auto parsed_seed = ParseUint("cursor", value.substr(0, colon), UINT32_MAX);
-  if (!parsed_seed.ok()) return parsed_seed.status();
-  auto parsed_ordinal = ParseUint("cursor", value.substr(colon + 1));
-  if (!parsed_ordinal.ok()) return parsed_ordinal.status();
-  return CursorPair(*parsed_seed, *parsed_ordinal);
 }
 
 /// Cross-field validation of a query, shared by both codecs. The text
@@ -765,26 +747,14 @@ StatusOr<bool> GetBool(const JsonValue& value, const std::string& key) {
   return value.bool_value;
 }
 
-StatusOr<std::vector<uint32_t>> GetUint32Array(const JsonValue& value,
-                                               const std::string& key) {
-  if (value.kind != JsonValue::Kind::kArray) {
-    return WrongType(key, "an array of unsigned integers");
-  }
-  std::vector<uint32_t> out;
-  for (const JsonValue& element : value.array) {
-    auto parsed = GetUint(element, key, UINT32_MAX);
-    if (!parsed.ok()) return parsed.status();
-    out.push_back(static_cast<uint32_t>(*parsed));
-  }
-  return out;
-}
-
-// ------------------------------------------------------------ request table
+// ------------------------------------------------------------- field tables
 // Every request verb is declared once, in RequestTable() below: its
 // payload type, its fields in wire order, and its text usage line. The
-// four request codecs (text and framed, parse and format) are short
-// drivers over that table, and each value type is read and written for
-// both wires by one field codec.
+// framed responses a client decodes are declared the same way, one
+// Frame table each. Short drivers over the tables do the rest: the four
+// request codecs (text and framed, parse and format), FormatFramedResponse
+// for those frames, and the one response decoder. Each value type is
+// read and written for both wires by one field codec.
 
 /// How a field is spelled on the text wire. Positionals come first in a
 /// verb's field list.
@@ -795,39 +765,90 @@ enum TextForm {
   kWord,    ///< a bare word after the positionals: bool true
 };
 
-/// How a field reads and writes its value in a payload of its verb's
-/// type. `key` is the field's spelling on the wire at hand, for errors.
+/// How a field reads and writes its value in a record: a request
+/// payload, or the record of a response frame. `key` is the field's
+/// spelling on the wire at hand, for errors.
+template <typename Record>
 class FieldOps {
  public:
   FieldOps() = default;
   FieldOps(const FieldOps&) = delete;
   FieldOps& operator=(const FieldOps&) = delete;
   virtual ~FieldOps() = default;
-  virtual Status FromText(RequestPayload& payload, const char* key,
+  virtual Status FromText(Record& record, const char* key,
                           const std::string& token) const = 0;
-  virtual Status FromJson(RequestPayload& payload, const char* key,
+  virtual Status FromJson(Record& record, const char* key,
                           const JsonValue& value) const = 0;
-  /// True when formatting leaves the field out.
-  virtual bool Omitted(const RequestPayload& payload) const = 0;
-  virtual std::string ToText(const RequestPayload& payload) const = 0;
-  virtual void ToJson(const RequestPayload& payload, const char* key,
+  /// True while the value equals the default record's.
+  virtual bool IsDefault(const Record& record) const = 0;
+  virtual std::string ToText(const Record& record) const = 0;
+  virtual void ToJson(const Record& record, const char* key,
                       JsonWriter& json) const = 0;
 };
 
-/// One request field. `text` is the text key, the bare word, or the
+/// One table row. `text` is the text key, the bare word, or the
 /// positional's label in errors ("K", "ID"); `json` the framed key.
 /// Either is null for a field only one wire carries (seed-range= is
-/// seed_begin + seed_end on the framed wire).
+/// seed_begin + seed_end on the framed wire; responses are framed only).
+template <typename Record>
 struct Field {
   const char* text;
   TextForm form;
   const char* json;
-  std::shared_ptr<const FieldOps> ops;
+  std::shared_ptr<const FieldOps<Record>> ops;
+  /// Written even at its default. In a response frame this also makes
+  /// the key required: the decoder refuses a frame without it.
+  bool always = false;
+  /// When set, the row is written and read only for records it accepts
+  /// (a job's result fields exist only once the job ran).
+  bool (*when)(const Record&) = nullptr;
 };
 
+template <typename Record>
+bool Omitted(const Field<Record>& field, const Record& record) {
+  return (field.when != nullptr && !field.when(record)) ||
+         (!field.always && field.ops->IsDefault(record));
+}
+
+/// Writes the framed keys of the rows `record` does not omit.
+template <typename Record>
+void WriteFields(JsonWriter& json, const std::vector<Field<Record>>& fields,
+                 const Record& record) {
+  for (const Field<Record>& field : fields) {
+    if (field.json != nullptr && !Omitted(field, record)) {
+      field.ops->ToJson(record, field.json, json);
+    }
+  }
+}
+
+/// Reads the framed keys of `fields` from `object` in row order, so a
+/// row's `when` sees the rows before it. A missing `always` key is
+/// refused, naming `what` and the key; keys no row names are ignored,
+/// which keeps additive response fields compatible.
+template <typename Record>
+Status ReadFields(const JsonValue& object,
+                  const std::vector<Field<Record>>& fields,
+                  const std::string& what, Record& record) {
+  for (const Field<Record>& field : fields) {
+    if (field.json == nullptr ||
+        (field.when != nullptr && !field.when(record))) {
+      continue;
+    }
+    const JsonValue* value = object.Find(field.json);
+    if (value != nullptr) {
+      KPLEX_RETURN_IF_ERROR(field.ops->FromJson(record, field.json, *value));
+    } else if (field.always) {
+      return Status::InvalidArgument(what + " is missing '" + field.json +
+                                     "'");
+    }
+  }
+  return Status::Ok();
+}
+
 /// A field codec: the text token of a T, and — unless `parse_json` is
-/// set, for native JSON numbers, booleans and arrays — that same token
-/// as a JSON string. `key` is the spelling on the wire at hand.
+/// set, for native JSON numbers, booleans, arrays and objects — that
+/// same token as a JSON string. `key` is the spelling on the wire at
+/// hand. A framed-only value has no text parse or format.
 template <typename T>
 struct Codec {
   std::function<StatusOr<T>(const std::string& key, const std::string&)>
@@ -858,22 +879,28 @@ Codec<T> UintCodec(uint64_t max = std::numeric_limits<T>::max(),
           }};
 }
 
-/// A duration: time-limit (seconds) or tau-ms (milliseconds), held to
-/// CheckQueryDuration's range.
-Codec<double> DurationCodec() {
-  auto check = [](const std::string& key,
-                  StatusOr<double> value) -> StatusOr<double> {
-    if (value.ok()) KPLEX_RETURN_IF_ERROR(CheckQueryDuration(key, *value));
+/// A number; a non-null `check` holds it to a range.
+Codec<double> NumberCodec(Status (*check)(const std::string& key,
+                                          double value) = nullptr) {
+  auto checked = [check](const std::string& key,
+                         StatusOr<double> value) -> StatusOr<double> {
+    if (value.ok() && check != nullptr) {
+      KPLEX_RETURN_IF_ERROR(check(key, *value));
+    }
     return value;
   };
   return {[=](const std::string& key, const std::string& text) {
-            return check(key, ParseDoubleValue(key, text));
+            return checked(key, ParseDoubleValue(key, text));
           },
           CompactDouble,
           [=](const std::string& key, const JsonValue& value) {
-            return check(key, GetDouble(value, key));
+            return checked(key, GetDouble(value, key));
           }};
 }
+
+/// A duration: time-limit (seconds) or tau-ms (milliseconds), held to
+/// CheckQueryDuration's range.
+Codec<double> DurationCodec() { return NumberCodec(CheckQueryDuration); }
 
 /// A bool spelled as one of two names on both wires; `first_is_true`
 /// says which (results=stream|count, mode=enumerate|maximum).
@@ -916,6 +943,14 @@ Codec<T> TextCodec(Parse parse, Format format) {
           [format](const T& value) { return std::string(format(value)); }};
 }
 
+/// The resume token "SEED:ORDINAL".
+Codec<ResumeCursor> CursorCodec() {
+  return TextCodec<ResumeCursor>(
+      ParseCursorText, [](const ResumeCursor& cursor) {
+        return FormatCursorValue(cursor.seed, cursor.ordinal);
+      });
+}
+
 Codec<std::string> StringCodec() {
   auto same = [](const std::string& text) { return text; };
   return TextCodec<std::string>(same, same);
@@ -935,8 +970,29 @@ Codec<FilterBounds> FilterCodec() {
       });
 }
 
-/// `C1,C2,...` on the text wire; a JSON array.
-Codec<std::vector<uint32_t>> LevelListCodec() {
+/// A JSON array of `element` values; framed only. `expected` names the
+/// shape in errors.
+template <typename T>
+Codec<std::vector<T>> ListCodec(Codec<T> element, const char* expected) {
+  return {nullptr, nullptr,
+          [element, expected](const std::string& key, const JsonValue& value)
+              -> StatusOr<std::vector<T>> {
+            if (value.kind != JsonValue::Kind::kArray) {
+              return WrongType(key, expected);
+            }
+            std::vector<T> list;
+            list.reserve(value.array.size());
+            for (const JsonValue& item : value.array) {
+              auto parsed = element.parse_json(key, item);
+              if (!parsed.ok()) return parsed.status();
+              list.push_back(*std::move(parsed));
+            }
+            return list;
+          }};
+}
+
+/// `C1,C2,...` on the text wire (snapshot levels); a JSON array.
+Codec<std::vector<uint32_t>> Uint32ListCodec() {
   Codec<std::vector<uint32_t>> codec = TextCodec<std::vector<uint32_t>>(
       ParseCoreLevelList,
       [](const std::vector<uint32_t>& levels) {
@@ -946,9 +1002,9 @@ Codec<std::vector<uint32_t>> LevelListCodec() {
         }
         return list;
       });
-  codec.parse_json = [](const std::string& key, const JsonValue& value) {
-    return GetUint32Array(value, key);
-  };
+  codec.parse_json =
+      ListCodec(UintCodec<uint32_t>(), "an array of unsigned integers")
+          .parse_json;
   return codec;
 }
 
@@ -970,6 +1026,15 @@ Codec<std::optional<T>> Optional(Codec<T> inner) {
   return codec;
 }
 
+/// A 64-bit hash or fingerprint as its "0x%016x" string.
+Codec<uint64_t> HexCodec() {
+  return TextCodec<uint64_t>(ParseHexU64, HexFingerprint);
+}
+
+void WriteQueryObject(JsonWriter& json, const char* key,
+                      const QueryRequest& query);
+void WriteErrorFields(JsonWriter& json, const Status& status);
+
 /// Writes a value whose codec has a native JSON form.
 template <typename T>
 void AddNativeJson(JsonWriter& json, const char* key, const T& value) {
@@ -979,109 +1044,132 @@ void AddNativeJson(JsonWriter& json, const char* key, const T& value) {
     json.BeginArray(key);
     for (uint32_t element : value) json.AddElement(element);
     json.EndArray();
+  } else if constexpr (std::is_same_v<T, std::vector<std::vector<VertexId>>>) {
+    json.BeginArray(key);
+    for (const std::vector<VertexId>& plex : value) {
+      json.BeginArrayElementArray();
+      for (VertexId v : plex) json.AddElement(v);
+      json.EndArray();
+    }
+    json.EndArray();
+  } else if constexpr (std::is_same_v<T, QueryRequest>) {
+    WriteQueryObject(json, key, value);
+  } else if constexpr (std::is_same_v<T, Status>) {
+    json.BeginObjectValue(key);
+    WriteErrorFields(json, value);
+    json.EndObject();
   } else if constexpr (requires { *value; }) {
     AddNativeJson(json, key, *value);
   }
 }
 
-/// The record a field of type R lives in: the payload itself, or the
-/// QueryRequest inside a mine-family payload.
-template <typename R, typename Payload>
-auto& RecordOf(Payload& payload) {
-  if constexpr (std::is_same_v<R, QueryRequest>) {
-    std::conditional_t<std::is_const_v<Payload>, const QueryRequest*,
+/// The record a field of type R lives in: the table's record itself,
+/// the QueryRequest inside a mine-family payload, or the payload
+/// alternative R.
+template <typename R, typename Record>
+auto& RecordOf(Record& record) {
+  if constexpr (std::is_same_v<std::remove_const_t<Record>, R>) {
+    return record;
+  } else if constexpr (std::is_same_v<R, QueryRequest>) {
+    std::conditional_t<std::is_const_v<Record>, const QueryRequest*,
                        QueryRequest*>
         query = nullptr;
     std::visit(
         [&query](auto& held) {
           if constexpr (requires { held.query; }) query = &held.query;
         },
-        payload);
+        record);
     return *query;
   } else {
-    return std::get<R>(payload);
+    return std::get<R>(record);
   }
 }
 
 /// `codec` reading and writing the value `get` returns and `set`
-/// stores in a record of type R. Unless `always`, the field is left out
-/// while it equals the default record's.
-template <typename R, typename T>
-class Binding : public FieldOps {
+/// stores in the R inside a table's Record.
+template <typename Record, typename R, typename T>
+class Binding : public FieldOps<Record> {
  public:
   Binding(Codec<T> codec, std::function<T(const R&)> get,
-          std::function<void(R&, T)> set, bool always)
-      : codec_(std::move(codec)),
-        get_(std::move(get)),
-        set_(std::move(set)),
-        always_(always) {}
+          std::function<void(R&, T)> set)
+      : codec_(std::move(codec)), get_(std::move(get)), set_(std::move(set)) {}
 
-  Status FromText(RequestPayload& payload, const char* key,
+  Status FromText(Record& record, const char* key,
                   const std::string& token) const override {
-    return Store(payload, codec_.parse(key, token));
+    return Store(record, codec_.parse(key, token));
   }
-  Status FromJson(RequestPayload& payload, const char* key,
+  Status FromJson(Record& record, const char* key,
                   const JsonValue& value) const override {
-    if (codec_.parse_json) return Store(payload, codec_.parse_json(key, value));
+    if (codec_.parse_json) return Store(record, codec_.parse_json(key, value));
     auto token = GetString(value, key);
     if (!token.ok()) return token.status();
-    return Store(payload, codec_.parse(key, *token));
+    return Store(record, codec_.parse(key, *token));
   }
-  bool Omitted(const RequestPayload& payload) const override {
-    static const R kDefaults{};
-    return !always_ && Value(payload) == get_(kDefaults);
+  bool IsDefault(const Record& record) const override {
+    if constexpr (std::equality_comparable<T>) {
+      static const R kDefaults{};
+      return Value(record) == get_(kDefaults);
+    } else {
+      return false;  // only ever bound as an always-written row
+    }
   }
-  std::string ToText(const RequestPayload& payload) const override {
-    return codec_.format(Value(payload));
+  std::string ToText(const Record& record) const override {
+    return codec_.format(Value(record));
   }
-  void ToJson(const RequestPayload& payload, const char* key,
+  void ToJson(const Record& record, const char* key,
               JsonWriter& json) const override {
     if (codec_.parse_json) {
-      AddNativeJson(json, key, Value(payload));
+      AddNativeJson(json, key, Value(record));
     } else {
-      json.Add(key, codec_.format(Value(payload)));
+      json.Add(key, codec_.format(Value(record)));
     }
   }
 
  private:
-  T Value(const RequestPayload& payload) const {
-    return get_(RecordOf<R>(payload));
-  }
-  Status Store(RequestPayload& payload, StatusOr<T> value) const {
+  T Value(const Record& record) const { return get_(RecordOf<R>(record)); }
+  Status Store(Record& record, StatusOr<T> value) const {
     if (!value.ok()) return value.status();
-    set_(RecordOf<R>(payload), *std::move(value));
+    set_(RecordOf<R>(record), *std::move(value));
     return Status::Ok();
   }
 
   Codec<T> codec_;
   std::function<T(const R&)> get_;
   std::function<void(R&, T)> set_;
-  bool always_;
 };
 
-/// One table row over a value `get` reads and `set` stores in a record
-/// of type R. Positionals and `always` fields are always written.
-template <typename R, typename T>
-Field BindVia(const char* text, TextForm form, const char* json,
-              Codec<T> codec,
-              std::type_identity_t<std::function<T(const R&)>> get,
-              std::type_identity_t<std::function<void(R&, T)>> set,
-              bool always = false) {
+/// One row over a value `get` reads and `set` stores in the R inside
+/// the table's Record. Positionals and `always` fields are always
+/// written.
+template <typename R, typename Record = RequestPayload, typename T>
+Field<Record> BindVia(const char* text, TextForm form, const char* json,
+                      Codec<T> codec,
+                      std::type_identity_t<std::function<T(const R&)>> get,
+                      std::type_identity_t<std::function<void(R&, T)>> set,
+                      bool always = false) {
   return {text, form, json,
-          std::make_shared<Binding<R, T>>(std::move(codec), std::move(get),
-                                          std::move(set),
-                                          always || form == kPos)};
+          std::make_shared<Binding<Record, R, T>>(
+              std::move(codec), std::move(get), std::move(set)),
+          always || form == kPos};
 }
 
 /// BindVia for a plain member.
-template <typename R, typename T>
-Field Bind(const char* text, TextForm form, const char* json, T R::*member,
-           Codec<T> codec, bool always = false) {
-  return BindVia<R, T>(
+template <typename Record = RequestPayload, typename R, typename T>
+Field<Record> Bind(const char* text, TextForm form, const char* json,
+                   T R::*member, Codec<T> codec, bool always = false) {
+  return BindVia<R, Record, T>(
       text, form, json, std::move(codec),
       [member](const R& record) { return record.*member; },
       [member](R& record, T value) { record.*member = std::move(value); },
       always);
+}
+
+/// A response row over a plain member: framed only, and always written
+/// (so required) unless `always` is false.
+template <typename R, typename T>
+Field<R> FrameKey(const char* json, T R::*member, Codec<T> codec,
+                  bool always = true) {
+  return Bind<R>(nullptr, kOpt, json, member, std::move(codec), always);
 }
 
 // ------------------------------------------------------------------ verbs
@@ -1097,7 +1185,7 @@ enum class Unknown {
 struct Verb {
   const char* name;
   RequestPayload prototype;  ///< the default payload parsing starts from
-  std::vector<Field> fields;
+  std::vector<Field<RequestPayload>> fields;
   const char* usage = "";  ///< text usage after the verb name
   Unknown unknown = Unknown::kUsage;
   /// Cross-field validation after either codec read the fields.
@@ -1106,94 +1194,112 @@ struct Verb {
 };
 
 /// The query options of mine / submit / mineshard / shardsubmit, in
-/// wire order. A value behind a presence flag (contain, cursor, the
-/// framed seed bounds) rides std::optional: nullopt is exactly when
-/// the field is left out.
-std::vector<Field> QueryFields() {
+/// wire order, over a request payload or a QueryRequest. A value behind
+/// a presence flag (contain, cursor, the framed seed bounds) rides
+/// std::optional: nullopt is exactly when the field is left out. The
+/// `echo` a job or submitted frame carries is the run options with algo
+/// always written: the rows up to seed_end, none of the selection.
+template <typename Record>
+std::vector<Field<Record>> QueryFields(bool echo = false) {
   using Q = QueryRequest;
   using U32 = std::optional<uint32_t>;
-  const auto cursor = TextCodec<CursorPair>(
-      ParseCursorValue, [](const CursorPair& token) {
-        return FormatCursorValue(token.first, token.second);
-      });
   const auto size_bound =
       UintCodec<uint64_t>(UINT64_MAX, "filter size bound must be >= 1");
   // seed_begin / seed_end: both framed whenever the range is a shard.
   auto seed_key = [](const char* json, uint32_t Q::*bound) {
-    return BindVia<Q>(
+    return BindVia<Q, Record>(
         nullptr, kOpt, json, Optional(UintCodec<uint32_t>()),
         [bound](const Q& q) {
           return q.HasSeedRange() ? U32(q.*bound) : U32();
         },
         [bound](Q& q, U32 value) { q.*bound = *value; });
   };
-  return {
-      Bind("NAME", kPos, "graph", &Q::graph, StringCodec()),
-      Bind("K", kPos, "k", &Q::k, UintCodec<uint32_t>()),
-      Bind("Q", kPos, "q", &Q::q, UintCodec<uint32_t>()),
-      Bind("algo", kOpt, "algo", &Q::algo,
-           TextCodec<QueryAlgo>(ParseQueryAlgo, QueryAlgoName)),
-      Bind("threads", kOpt, "threads", &Q::threads,
-           UintCodec<uint32_t>(kMaxQueryThreads)),
-      Bind("max-results", kOpt, "max_results", &Q::max_results,
-           UintCodec<uint64_t>()),
-      Bind("time-limit", kOpt, "time_limit", &Q::time_limit_seconds,
-           DurationCodec()),
-      Bind("tau-ms", kOpt, "tau_ms", &Q::tau_ms, DurationCodec()),
-      Bind("ctcp", kOpt, "ctcp", &Q::use_ctcp, OnOffCodec()),
-      Bind("cache", kOpt, "cache", &Q::use_cache, OnOffCodec()),
-      BindVia<Q>("seed-range", kOpt, nullptr,
-                 TextCodec<SeedPair>(ParseSeedRangeValue, FormatSeedRangeValue),
-                 [](const Q& q) { return SeedPair(q.seed_begin, q.seed_end); },
-                 [](Q& q, SeedPair range) {
-                   std::tie(q.seed_begin, q.seed_end) = range;
-                 }),
+  std::vector<Field<Record>> fields = {
+      Bind<Record>("NAME", kPos, "graph", &Q::graph, StringCodec()),
+      Bind<Record>("K", kPos, "k", &Q::k, UintCodec<uint32_t>()),
+      Bind<Record>("Q", kPos, "q", &Q::q, UintCodec<uint32_t>()),
+      Bind<Record>("algo", kOpt, "algo", &Q::algo,
+                   TextCodec<QueryAlgo>(ParseQueryAlgo, QueryAlgoName), echo),
+      Bind<Record>("threads", kOpt, "threads", &Q::threads,
+                   UintCodec<uint32_t>(kMaxQueryThreads)),
+      Bind<Record>("max-results", kOpt, "max_results", &Q::max_results,
+                   UintCodec<uint64_t>()),
+      Bind<Record>("time-limit", kOpt, "time_limit", &Q::time_limit_seconds,
+                   DurationCodec()),
+      Bind<Record>("tau-ms", kOpt, "tau_ms", &Q::tau_ms, DurationCodec()),
+      Bind<Record>("ctcp", kOpt, "ctcp", &Q::use_ctcp, OnOffCodec()),
+      Bind<Record>("cache", kOpt, "cache", &Q::use_cache, OnOffCodec()),
+      BindVia<Q, Record>(
+          "seed-range", kOpt, nullptr,
+          TextCodec<SeedPair>(ParseSeedRangeValue, FormatSeedRangeValue),
+          [](const Q& q) { return SeedPair(q.seed_begin, q.seed_end); },
+          [](Q& q, SeedPair range) {
+            std::tie(q.seed_begin, q.seed_end) = range;
+          }),
       seed_key("seed_begin", &Q::seed_begin),
       seed_key("seed_end", &Q::seed_end),
-      Bind("results", kOpt, "results", &Q::collect_bodies,
-           ChoiceCodec("stream", "count", true)),
-      Bind("chunk", kOpt, "chunk", &Q::chunk_size,
-           UintCodec<uint32_t>(65536, "chunk must be >= 1")),
-      BindVia<Q>("filter", kOpt, nullptr, FilterCodec(),
-                 [](const Q& q) {
-                   return FilterBounds(q.filter_min_size, q.filter_max_size);
-                 },
-                 // Each filter= token sets only the bounds it names.
-                 [](Q& q, FilterBounds bounds) {
-                   if (bounds.first > 0) q.filter_min_size = bounds.first;
-                   if (bounds.second > 0) q.filter_max_size = bounds.second;
-                 }),
-      Bind(nullptr, kOpt, "min_size", &Q::filter_min_size, size_bound),
-      Bind(nullptr, kOpt, "max_size", &Q::filter_max_size, size_bound),
-      BindVia<Q>("contain", kOpt, "contain", Optional(UintCodec<uint32_t>()),
-                 [](const Q& q) {
-                   return q.has_contain ? U32(q.contain) : std::nullopt;
-                 },
-                 [](Q& q, U32 vertex) {
-                   q.has_contain = true;
-                   q.contain = *vertex;
-                 }),
-      Bind("top", kOpt, "top", &Q::top_k,
-           UintCodec<uint64_t>(UINT64_MAX, "top must be >= 1")),
-      Bind("mode", kOpt, "mode", &Q::maximum,
-           ChoiceCodec("enumerate", "maximum", false)),
-      BindVia<Q>("cursor", kOpt, "cursor", Optional(cursor),
-                 [](const Q& q) -> std::optional<CursorPair> {
-                   if (!q.has_cursor) return std::nullopt;
-                   return CursorPair{q.cursor_seed, q.cursor_ordinal};
-                 },
-                 [](Q& q, std::optional<CursorPair> cursor) {
-                   q.has_cursor = true;
-                   std::tie(q.cursor_seed, q.cursor_ordinal) = *cursor;
-                 }),
   };
+  if (echo) return fields;
+  std::vector<Field<Record>> selection = {
+      Bind<Record>("results", kOpt, "results", &Q::collect_bodies,
+                   ChoiceCodec("stream", "count", true)),
+      Bind<Record>("chunk", kOpt, "chunk", &Q::chunk_size,
+                   UintCodec<uint32_t>(65536, "chunk must be >= 1")),
+      BindVia<Q, Record>(
+          "filter", kOpt, nullptr, FilterCodec(),
+          [](const Q& q) {
+            return FilterBounds(q.filter_min_size, q.filter_max_size);
+          },
+          // Each filter= token sets only the bounds it names.
+          [](Q& q, FilterBounds bounds) {
+            if (bounds.first > 0) q.filter_min_size = bounds.first;
+            if (bounds.second > 0) q.filter_max_size = bounds.second;
+          }),
+      Bind<Record>(nullptr, kOpt, "min_size", &Q::filter_min_size,
+                   size_bound),
+      Bind<Record>(nullptr, kOpt, "max_size", &Q::filter_max_size,
+                   size_bound),
+      BindVia<Q, Record>(
+          "contain", kOpt, "contain", Optional(UintCodec<uint32_t>()),
+          [](const Q& q) {
+            return q.has_contain ? U32(q.contain) : std::nullopt;
+          },
+          [](Q& q, U32 vertex) {
+            q.has_contain = true;
+            q.contain = *vertex;
+          }),
+      Bind<Record>("top", kOpt, "top", &Q::top_k,
+                   UintCodec<uint64_t>(UINT64_MAX, "top must be >= 1")),
+      Bind<Record>("mode", kOpt, "mode", &Q::maximum,
+                   ChoiceCodec("enumerate", "maximum", false)),
+      BindVia<Q, Record>(
+          "cursor", kOpt, "cursor", Optional(CursorCodec()),
+          [](const Q& q) -> std::optional<ResumeCursor> {
+            if (!q.has_cursor) return std::nullopt;
+            return ResumeCursor{q.cursor_seed, q.cursor_ordinal};
+          },
+          [](Q& q, std::optional<ResumeCursor> cursor) {
+            q.has_cursor = true;
+            q.cursor_seed = cursor->seed;
+            q.cursor_ordinal = cursor->ordinal;
+          }),
+  };
+  fields.insert(fields.end(), selection.begin(), selection.end());
+  return fields;
+}
+
+/// The QueryFields() rows a job or submitted frame echoes.
+const std::vector<Field<QueryRequest>>& EchoFields() {
+  static const std::vector<Field<QueryRequest>> fields =
+      QueryFields<QueryRequest>(/*echo=*/true);
+  return fields;
 }
 
 /// A mine-family verb: the query fields plus the shard verbs' `hash=`
 /// admission check.
 template <typename P>
 Verb QueryVerb(const char* name) {
-  Verb verb{name, P{}, QueryFields(),
+  Verb verb{name, P{}, QueryFields<RequestPayload>(),
             " NAME K Q [algo=...] [threads=N] [max-results=N] "
             "[time-limit=S] [tau-ms=T] [cache=on|off] [seed-range=B:E] "
             "[results=stream|count] [chunk=N] [filter=size>=S,size<=T] "
@@ -1203,8 +1309,7 @@ Verb QueryVerb(const char* name) {
             }};
   if constexpr (requires { &P::expected_hash; }) {
     verb.fields.push_back(
-        Bind("hash", kOpt, "hash", &P::expected_hash,
-             TextCodec<uint64_t>(ParseHexU64, HexFingerprint)));
+        Bind("hash", kOpt, "hash", &P::expected_hash, HexCodec()));
   }
   return verb;
 }
@@ -1250,7 +1355,7 @@ const std::vector<Verb>& RequestTable() {
         Bind(nullptr, kOpt, "precompute",
              &SnapshotRequest::include_precompute, OnOffCodec()),
         BindVia<SnapshotRequest>(
-            "levels", kOpt, "levels", LevelListCodec(),
+            "levels", kOpt, "levels", Uint32ListCodec(),
             [](const SnapshotRequest& snapshot) {
               return snapshot.core_mask_levels;
             },
@@ -1322,63 +1427,304 @@ const Verb& VerbOf(const RequestPayload& payload) {
                        });
 }
 
-// ------------------------------------------------- framed job rendering
+// --------------------------------------------------------- response frames
 
-void WriteQueryObject(JsonWriter& json, const std::string& key,
+/// A response frame a client decodes: its type, its rows in wire order,
+/// and a cross-field check the decoder runs after reading them.
+template <typename Record>
+struct Frame {
+  const char* type;
+  std::vector<Field<Record>> fields;
+  Status (*check)(const Record&) = nullptr;
+};
+
+/// The response table: every frame a client decodes.
+/// FormatFramedResponse writes each from its rows, and DecodeFrame reads
+/// it back through the same rows.
+struct ResponseTable {
+  Frame<HelloResponse> hello;
+  Frame<JobSummary> mine;  ///< its rows are also the wait and jobs fields
+  Frame<JobSummary> shard_result;
+  Frame<PlanResponse> plan;
+  Frame<ShardSubmitResponse> shard_submitted;
+  Frame<ShardStopResponse> shard_stopping;
+  Frame<WorkerAckResponse> worker_ack;
+  Frame<ResultChunkResponse> result_chunk;
+};
+
+/// A job's query as its framed echo.
+void WriteQueryObject(JsonWriter& json, const char* key,
                       const QueryRequest& query) {
   json.BeginObjectValue(key);
-  json.Add("graph", query.graph);
-  json.Add("k", query.k);
-  json.Add("q", query.q);
-  json.Add("algo", QueryAlgoName(query.algo));
-  if (query.threads > 0) json.Add("threads", query.threads);
-  if (query.max_results > 0) json.Add("max_results", query.max_results);
-  if (query.time_limit_seconds > 0) {
-    json.Add("time_limit", query.time_limit_seconds);
-  }
-  if (query.tau_ms != QueryRequest{}.tau_ms) json.Add("tau_ms", query.tau_ms);
-  if (query.use_ctcp) json.Add("ctcp", true);
-  if (!query.use_cache) json.Add("cache", false);
-  if (query.HasSeedRange()) {
-    json.Add("seed_begin", query.seed_begin);
-    json.Add("seed_end", query.seed_end);
-  }
+  WriteFields(json, EchoFields(), query);
   json.EndObject();
 }
 
-void WriteJobFields(JsonWriter& json, const JobInfo& info) {
-  json.Add("job", info.id);
-  WriteQueryObject(json, "query", info.request);
-  json.Add("state", JobStateName(info.state));
-  json.Add("started", info.started);
-  const bool has_result =
-      info.state == JobState::kDone ||
-      (info.state == JobState::kCancelled && info.started);
-  if (has_result) {
-    json.Add("plexes", info.result.num_plexes);
-    json.Add("max_size", info.result.max_plex_size);
-    json.Add("fingerprint", HexFingerprint(info.result.fingerprint));
-    json.Add("seconds", info.result.seconds);
-    json.Add("compute_seconds", info.result.compute_seconds);
-    json.Add("cached", info.result.from_cache);
-    json.Add("precomputed", info.result.reduction_precomputed);
-    json.Add("timed_out", info.result.timed_out);
-    json.Add("stopped_early", info.result.stopped_early);
-    json.Add("cancelled", info.result.cancelled);
-    if (info.result.plexes != nullptr) {
-      json.Add("bodies", info.result.plexes->size());
-    }
-    if (info.result.has_cursor) {
-      json.Add("cursor", FormatCursorValue(info.result.cursor_seed,
-                                           info.result.cursor_ordinal));
-    }
+void WriteErrorFields(JsonWriter& json, const Status& status) {
+  json.Add("code", StatusCodeName(status.code()));
+  json.Add("message", status.message());
+}
+
+/// The Status an error object {"code":...,"message":...} carries. An
+/// unknown code name reads as INTERNAL (StatusCodeFromName), so a newer
+/// server's errors still surface; a missing or mistyped key, or the
+/// code OK, is INVALID_ARGUMENT.
+Status ErrorObjectStatus(const JsonValue& object) {
+  const JsonValue* code = object.Find("code");
+  const JsonValue* message = object.Find("message");
+  if (code == nullptr || code->kind != JsonValue::Kind::kString ||
+      message == nullptr || message->kind != JsonValue::Kind::kString) {
+    return Status::InvalidArgument(
+        "error object needs string 'code' and 'message' fields");
   }
-  if (info.state == JobState::kFailed) {
-    json.BeginObjectValue("error");
-    json.Add("code", StatusCodeName(info.status.code()));
-    json.Add("message", info.status.message());
-    json.EndObject();
+  const StatusCode parsed = StatusCodeFromName(code->string_value);
+  if (parsed == StatusCode::kOk) {
+    return Status::InvalidArgument("error object carries the code OK");
   }
+  return Status(parsed, message->string_value);
+}
+
+/// A framed-only value read from a nested JSON object.
+template <typename T>
+Codec<T> ObjectCodec(StatusOr<T> (*read)(const JsonValue& object)) {
+  return {nullptr, nullptr,
+          [read](const std::string& key, const JsonValue& value)
+              -> StatusOr<T> {
+            if (value.kind != JsonValue::Kind::kObject) {
+              return WrongType(key, "an object");
+            }
+            return read(value);
+          }};
+}
+
+/// A job that ran carries its result fields: done, or cancelled after
+/// it started.
+bool HasResult(const JobSummary& job) {
+  return job.state == "done" || (job.state == "cancelled" && job.started);
+}
+
+/// A plan carries one degree and one coreness per seed: the coordinator
+/// cuts [0, total_seeds) by the arrays' per-seed costs.
+Status CheckPlan(const PlanResponse& plan) {
+  if (plan.degrees.size() != plan.total_seeds ||
+      plan.coreness.size() != plan.total_seeds) {
+    return Status::InvalidArgument(
+        "plan frame carries " + std::to_string(plan.degrees.size()) +
+        " degrees and " + std::to_string(plan.coreness.size()) +
+        " coreness values for " + std::to_string(plan.total_seeds) +
+        " seeds");
+  }
+  return Status::Ok();
+}
+
+const ResponseTable& Responses() {
+  static const ResponseTable table = [] {
+    using S = JobSummary;
+    using U64 = std::optional<uint64_t>;
+    const auto count = UintCodec<uint64_t>();
+    auto result = [](Field<S> row) {
+      row.when = HasResult;
+      return row;
+    };
+    // A yielded shard's covered prefix; absent unless it yielded.
+    auto covered = [&](const char* json, uint64_t S::*bound) {
+      return result(BindVia<S, S>(
+          nullptr, kOpt, json, Optional(count),
+          [bound](const S& job) {
+            return job.yielded ? U64(job.*bound) : U64();
+          },
+          [bound](S& job, U64 value) { job.*bound = *value; }));
+    };
+    std::vector<Field<S>> job = {
+        FrameKey("job", &S::job, count),
+        FrameKey("query", &S::query,
+                 ObjectCodec<QueryRequest>(
+                     [](const JsonValue& object) -> StatusOr<QueryRequest> {
+                       QueryRequest query;
+                       KPLEX_RETURN_IF_ERROR(ReadFields(
+                           object, EchoFields(), "query object", query));
+                       return query;
+                     })),
+        FrameKey("state", &S::state, StringCodec()),
+        FrameKey("started", &S::started, OnOffCodec()),
+        result(FrameKey("plexes", &S::plexes, count)),
+        result(FrameKey("max_size", &S::max_size, count)),
+        result(FrameKey("fingerprint", &S::fingerprint, HexCodec())),
+        result(FrameKey("seconds", &S::seconds, NumberCodec())),
+        result(FrameKey("compute_seconds", &S::compute_seconds,
+                        NumberCodec())),
+        result(FrameKey("cached", &S::cached, OnOffCodec())),
+        result(FrameKey("precomputed", &S::precomputed, OnOffCodec())),
+        result(FrameKey("timed_out", &S::timed_out, OnOffCodec())),
+        result(FrameKey("stopped_early", &S::stopped_early, OnOffCodec())),
+        result(FrameKey("cancelled", &S::cancelled, OnOffCodec())),
+        result(FrameKey("bodies", &S::bodies, Optional(count), false)),
+        result(FrameKey("cursor", &S::cursor, Optional(CursorCodec()), false)),
+        FrameKey("error", &S::error,
+                 ObjectCodec<std::optional<Status>>(
+                     [](const JsonValue& object)
+                         -> StatusOr<std::optional<Status>> {
+                       return std::optional<Status>(ErrorObjectStatus(object));
+                     })),
+    };
+    job.back().when = [](const S& failed) { return failed.state == "failed"; };
+    // A shard's mergeable pieces follow the job fields.
+    std::vector<Field<S>> shard = job;
+    shard.insert(
+        shard.end(),
+        {result(FrameKey("fingerprint_xor", &S::fingerprint_xor, HexCodec())),
+         result(FrameKey("total_seeds", &S::total_seeds, count)),
+         result(FrameKey("yielded", &S::yielded, OnOffCodec(), false)),
+         covered("covered_begin", &S::covered_begin),
+         covered("covered_end", &S::covered_end),
+         FrameKey("content_hash", &S::content_hash, HexCodec())});
+    using H = HelloResponse;
+    using P = PlanResponse;
+    return ResponseTable{
+        .hello = {"hello",
+                  {FrameKey("proto", &H::version, UintCodec<uint32_t>()),
+                   // A framed-rendered hello means the session is in (or
+                   // just switched to) framed mode.
+                   BindVia<H, H>(
+                       nullptr, kOpt, "mode",
+                       TextCodec<WireMode>(ParseWireMode, WireModeName),
+                       [](const H& hello) {
+                         return hello.mode.value_or(WireMode::kFramed);
+                       },
+                       [](H& hello, WireMode mode) { hello.mode = mode; },
+                       true)}},
+        .mine = {"mine", job},
+        .shard_result = {"shard_result", shard},
+        .plan = {"plan",
+                 {FrameKey("graph", &P::graph, StringCodec()),
+                  FrameKey("total_seeds", &P::total_seeds, count),
+                  FrameKey("content_hash", &P::content_hash, HexCodec()),
+                  FrameKey("degeneracy", &P::degeneracy,
+                           UintCodec<uint32_t>()),
+                  FrameKey("precomputed", &P::precomputed, OnOffCodec()),
+                  FrameKey("seconds", &P::seconds, NumberCodec()),
+                  FrameKey("degrees", &P::degrees, Uint32ListCodec()),
+                  FrameKey("coreness", &P::coreness, Uint32ListCodec())},
+                 CheckPlan},
+        .shard_submitted = {"shard_submitted",
+                            {FrameKey("job", &ShardSubmitResponse::job, count),
+                             FrameKey("content_hash",
+                                      &ShardSubmitResponse::content_hash,
+                                      HexCodec())}},
+        .shard_stopping = {"shard_stopping",
+                           {FrameKey("job", &ShardStopResponse::job, count)}},
+        .worker_ack = {"worker_ack",
+                       {FrameKey("worker", &WorkerAckResponse::worker, count),
+                        FrameKey("state", &WorkerAckResponse::state,
+                                 StringCodec())}},
+        .result_chunk = {"result_chunk",
+                         {FrameKey("job", &ResultChunkResponse::job, count),
+                          FrameKey("seq", &ResultChunkResponse::seq, count),
+                          FrameKey("last", &ResultChunkResponse::last,
+                                   OnOffCodec()),
+                          FrameKey("plexes", &ResultChunkResponse::plexes,
+                                   ListCodec(Uint32ListCodec(),
+                                             "an array of vertex-id "
+                                             "arrays"))}},
+    };
+  }();
+  return table;
+}
+
+/// The framed summary of a job; `content_hash` is a shard's.
+JobSummary SummaryOf(const JobInfo& info, uint64_t content_hash = 0) {
+  const QueryResult& result = info.result;
+  JobSummary job;
+  job.job = info.id;
+  job.query = info.request;
+  job.state = JobStateName(info.state);
+  job.started = info.started;
+  job.plexes = result.num_plexes;
+  job.max_size = result.max_plex_size;
+  job.fingerprint = result.fingerprint;
+  job.seconds = result.seconds;
+  job.compute_seconds = result.compute_seconds;
+  job.cached = result.from_cache;
+  job.precomputed = result.reduction_precomputed;
+  job.timed_out = result.timed_out;
+  job.stopped_early = result.stopped_early;
+  job.cancelled = result.cancelled;
+  if (result.plexes != nullptr) job.bodies = result.plexes->size();
+  if (result.has_cursor) {
+    job.cursor = ResumeCursor{result.cursor_seed, result.cursor_ordinal};
+  }
+  if (info.state == JobState::kFailed) job.error = info.status;
+  job.fingerprint_xor = result.fingerprint_xor;
+  job.total_seeds = result.total_seeds;
+  job.yielded = result.yielded;
+  job.covered_begin = result.covered_begin;
+  job.covered_end = result.covered_end;
+  job.content_hash = content_hash;
+  return job;
+}
+
+template <typename Record>
+void WriteFrame(JsonWriter& json, const Frame<Record>& frame,
+                const Record& record) {
+  json.Add("type", frame.type);
+  WriteFields(json, frame.fields, record);
+}
+
+/// Parses a framed response line into its JSON object, surfacing
+/// {"ok":false,...} frames as the embedded structured Status. Requires
+/// a numeric id and a type, equal to `type` when one is given.
+StatusOr<JsonValue> ParseResponseFrame(const std::string& line,
+                                       const char* type = nullptr,
+                                       uint64_t* request_id = nullptr) {
+  auto parsed = JsonParser(line).Parse();
+  if (!parsed.ok()) return parsed.status();
+  if (parsed->kind != JsonValue::Kind::kObject) {
+    return Status::InvalidArgument(
+        "malformed frame: expected a JSON object");
+  }
+  const JsonValue* ok = parsed->Find("ok");
+  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
+    return Status::InvalidArgument(
+        "response frame is missing the 'ok' field");
+  }
+  if (!ok->bool_value) return ErrorObjectStatus(*parsed);
+  const JsonValue* id = parsed->Find("id");
+  if (id == nullptr) {
+    return Status::InvalidArgument("response frame is missing 'id'");
+  }
+  auto id_value = GetUint(*id, "id");
+  if (!id_value.ok()) return id_value.status();
+  if (request_id != nullptr) *request_id = *id_value;
+  const JsonValue* got = parsed->Find("type");
+  if (got == nullptr || got->kind != JsonValue::Kind::kString) {
+    return Status::InvalidArgument("response frame is missing 'type'");
+  }
+  if (type != nullptr && got->string_value != type) {
+    return Status::InvalidArgument(std::string("expected a '") + type +
+                                   "' frame, got '" + got->string_value +
+                                   "'");
+  }
+  return parsed;
+}
+
+/// The one response decoder: ok/error, id and type through
+/// ParseResponseFrame, then the frame's rows and check. A failed job
+/// travels inside an ok frame; it comes back as its error, like any
+/// other failure.
+template <typename Record>
+StatusOr<Record> DecodeFrame(const std::string& line,
+                             const Frame<Record>& frame,
+                             uint64_t* request_id) {
+  auto object = ParseResponseFrame(line, frame.type, request_id);
+  if (!object.ok()) return object.status();
+  Record record;
+  KPLEX_RETURN_IF_ERROR(ReadFields(
+      *object, frame.fields, std::string(frame.type) + " frame", record));
+  if constexpr (requires { *record.error; }) {
+    if (record.error) return *record.error;
+  }
+  if (frame.check != nullptr) KPLEX_RETURN_IF_ERROR(frame.check(record));
+  return record;
 }
 
 }  // namespace
@@ -1438,7 +1784,7 @@ StatusOr<Request> ParseTextRequest(const std::string& line) {
     return Status::InvalidArgument("usage: " + tokens[0] + verb.usage);
   };
   std::size_t required = 0, positionals = 0;
-  for (const Field& field : verb.fields) {
+  for (const Field<RequestPayload>& field : verb.fields) {
     required += field.form == kPos;
     positionals += field.form == kPos || field.form == kOptPos;
   }
@@ -1446,11 +1792,11 @@ StatusOr<Request> ParseTextRequest(const std::string& line) {
   // Pair each token after the positionals with the field spelling it.
   // A verb with positionals refuses a wrong shape before reading values.
   const std::size_t first = std::min(tokens.size(), 1 + positionals);
-  std::vector<const Field*> spelled;
+  std::vector<const Field<RequestPayload>*> spelled;
   for (std::size_t i = first; i < tokens.size(); ++i) {
     const std::string key = SplitKeyValue(tokens[i]).first;
-    const Field* match = nullptr;
-    for (const Field& field : verb.fields) {
+    const Field<RequestPayload>* match = nullptr;
+    for (const Field<RequestPayload>& field : verb.fields) {
       if (field.text != nullptr &&
           ((field.form == kOpt && key == field.text) ||
            (field.form == kWord && tokens[i] == field.text))) {
@@ -1465,12 +1811,12 @@ StatusOr<Request> ParseTextRequest(const std::string& line) {
   }
   RequestPayload payload = verb.prototype;
   for (std::size_t i = 1; i < first; ++i) {
-    const Field& field = verb.fields[i - 1];
+    const Field<RequestPayload>& field = verb.fields[i - 1];
     KPLEX_RETURN_IF_ERROR(field.ops->FromText(payload, field.text, tokens[i]));
   }
   for (std::size_t i = first; i < tokens.size(); ++i) {
     const auto [key, value] = SplitKeyValue(tokens[i]);
-    const Field* field = spelled[i - first];
+    const Field<RequestPayload>* field = spelled[i - first];
     if (field != nullptr) {
       KPLEX_RETURN_IF_ERROR(field->ops->FromText(
           payload, field->text, field->form == kWord ? "on" : value));
@@ -1494,8 +1840,8 @@ std::string FormatTextRequest(const Request& request) {
   const Verb& verb = VerbOf(request.payload);
   const RequestPayload& payload = request.payload;
   std::string line = verb.name;
-  for (const Field& field : verb.fields) {
-    if (field.text == nullptr || field.ops->Omitted(payload)) continue;
+  for (const Field<RequestPayload>& field : verb.fields) {
+    if (field.text == nullptr || Omitted(field, payload)) continue;
     line += ' ';
     if (field.form == kOpt || field.form == kWord) line += field.text;
     if (field.form == kOpt) line += '=';
@@ -1719,7 +2065,9 @@ StatusOr<Request> ParseFramedRequest(const std::string& line,
     if (key == "id" || key == "cmd") continue;
     auto field = std::find_if(
         verb.fields.begin(), verb.fields.end(),
-        [&](const Field& f) { return f.json != nullptr && key == f.json; });
+        [&](const Field<RequestPayload>& f) {
+          return f.json != nullptr && key == f.json;
+        });
     if (field == verb.fields.end()) return UnknownField(verb.name, key);
     KPLEX_RETURN_IF_ERROR(field->ops->FromJson(payload, field->json, value));
     seen[field - verb.fields.begin()] = true;
@@ -1752,13 +2100,8 @@ std::string FormatFramedRequest(const Request& request) {
   json.BeginObject();
   if (request.id != 0) json.Add("id", request.id);
   const Verb& verb = VerbOf(request.payload);
-  const RequestPayload& payload = request.payload;
   json.Add("cmd", verb.name);
-  for (const Field& field : verb.fields) {
-    if (field.json != nullptr && !field.ops->Omitted(payload)) {
-      field.ops->ToJson(payload, field.json, json);
-    }
-  }
+  WriteFields(json, verb.fields, request.payload);
   json.EndObject();
   return json.str();
 }
@@ -1791,11 +2134,7 @@ std::string FormatFramedResponse(const Response& response) {
     JsonWriter& json;
 
     void operator()(const HelloResponse& hello) const {
-      json.Add("type", "hello");
-      json.Add("proto", hello.version);
-      // A framed-rendered hello means the session is in (or just
-      // switched to) framed mode.
-      json.Add("mode", WireModeName(hello.mode.value_or(WireMode::kFramed)));
+      WriteFrame(json, Responses().hello, hello);
     }
     void operator()(const LoadResponse& loaded) const {
       json.Add("type", "load");
@@ -1814,8 +2153,7 @@ std::string FormatFramedResponse(const Response& response) {
       json.Add("precompute", snapshot.with_precompute);
     }
     void operator()(const MineResponse& mine) const {
-      json.Add("type", "mine");
-      WriteJobFields(json, mine.job);
+      WriteFrame(json, Responses().mine, SummaryOf(mine.job));
     }
     void operator()(const SubmitResponse& submit) const {
       json.Add("type", "submitted");
@@ -1823,56 +2161,20 @@ std::string FormatFramedResponse(const Response& response) {
       WriteQueryObject(json, "query", submit.query);
     }
     void operator()(const ShardResultResponse& shard) const {
-      json.Add("type", "shard_result");
-      WriteJobFields(json, shard.job);
-      const bool has_result =
-          shard.job.state == JobState::kDone ||
-          (shard.job.state == JobState::kCancelled && shard.job.started);
-      if (has_result) {
-        // The mergeable extras beyond the common job fields: the raw
-        // XOR half and the seed-space size (coordinator planning).
-        json.Add("fingerprint_xor",
-                 HexFingerprint(shard.job.result.fingerprint_xor));
-        json.Add("total_seeds", shard.job.result.total_seeds);
-        // Yield outcome (v5 work-stealing) — additive fields, only on
-        // shard_result frames: a yielded shard answers its covered
-        // prefix completely; the coordinator re-issues the rest.
-        if (shard.job.result.yielded) {
-          json.Add("yielded", true);
-          json.Add("covered_begin", shard.job.result.covered_begin);
-          json.Add("covered_end", shard.job.result.covered_end);
-        }
-      }
-      json.Add("content_hash", HexFingerprint(shard.content_hash));
+      WriteFrame(json, Responses().shard_result,
+                 SummaryOf(shard.job, shard.content_hash));
     }
     void operator()(const PlanResponse& plan) const {
-      json.Add("type", "plan");
-      json.Add("graph", plan.graph);
-      json.Add("total_seeds", plan.total_seeds);
-      json.Add("content_hash", HexFingerprint(plan.content_hash));
-      json.Add("degeneracy", plan.degeneracy);
-      json.Add("precomputed", plan.precomputed);
-      json.Add("seconds", plan.seconds);
-      json.BeginArray("degrees");
-      for (uint32_t degree : plan.degrees) json.AddElement(degree);
-      json.EndArray();
-      json.BeginArray("coreness");
-      for (uint32_t coreness : plan.coreness) json.AddElement(coreness);
-      json.EndArray();
+      WriteFrame(json, Responses().plan, plan);
     }
     void operator()(const ShardSubmitResponse& shard) const {
-      json.Add("type", "shard_submitted");
-      json.Add("job", shard.job);
-      json.Add("content_hash", HexFingerprint(shard.content_hash));
+      WriteFrame(json, Responses().shard_submitted, shard);
     }
     void operator()(const ShardStopResponse& stop) const {
-      json.Add("type", "shard_stopping");
-      json.Add("job", stop.job);
+      WriteFrame(json, Responses().shard_stopping, stop);
     }
     void operator()(const WorkerAckResponse& ack) const {
-      json.Add("type", "worker_ack");
-      json.Add("worker", ack.worker);
-      json.Add("state", ack.state);
+      WriteFrame(json, Responses().worker_ack, ack);
     }
     void operator()(const WorkersResponse& workers) const {
       json.Add("type", "workers");
@@ -1889,17 +2191,7 @@ std::string FormatFramedResponse(const Response& response) {
       json.EndArray();
     }
     void operator()(const ResultChunkResponse& chunk) const {
-      json.Add("type", "result_chunk");
-      json.Add("job", chunk.job);
-      json.Add("seq", chunk.seq);
-      json.Add("last", chunk.last);
-      json.BeginArray("plexes");
-      for (const std::vector<VertexId>& plex : chunk.plexes) {
-        json.BeginArrayElementArray();
-        for (VertexId v : plex) json.AddElement(v);
-        json.EndArray();
-      }
-      json.EndArray();
+      WriteFrame(json, Responses().result_chunk, chunk);
     }
     void operator()(const CancelResponse& cancel) const {
       json.Add("type", "cancelling");
@@ -1910,14 +2202,14 @@ std::string FormatFramedResponse(const Response& response) {
       json.BeginArray("jobs");
       for (const JobInfo& info : jobs.jobs) {
         json.BeginArrayElementObject();
-        WriteJobFields(json, info);
+        WriteFields(json, Responses().mine.fields, SummaryOf(info));
         json.EndObject();
       }
       json.EndArray();
     }
     void operator()(const WaitResponse& wait) const {
       json.Add("type", "wait");
-      WriteJobFields(json, wait.job);
+      WriteFields(json, Responses().mine.fields, SummaryOf(wait.job));
     }
     void operator()(const WaitAllResponse& all) const {
       json.Add("type", "wait_all");
@@ -2027,8 +2319,7 @@ std::string FormatFramedResponse(const Response& response) {
     void operator()(const ByeResponse&) const { json.Add("type", "bye"); }
     void operator()(const ErrorResponse& error) const {
       json.Add("type", "error");
-      json.Add("code", StatusCodeName(error.status.code()));
-      json.Add("message", error.status.message());
+      WriteErrorFields(json, error.status);
     }
   };
   std::visit(Visitor{json}, response.payload);
@@ -2038,261 +2329,64 @@ std::string FormatFramedResponse(const Response& response) {
 
 // ----------------------------------------------- framed client decode
 
-namespace {
-
-/// The Status a {"code":...,"message":...} object carries (code restored
-/// via StatusCodeFromName; INTERNAL and `fallback` fill missing parts).
-Status ErrorObjectStatus(const JsonValue& object,
-                         const std::string& fallback) {
-  const JsonValue* code = object.Find("code");
-  const JsonValue* message = object.Find("message");
-  return Status(code != nullptr && code->kind == JsonValue::Kind::kString
-                    ? StatusCodeFromName(code->string_value)
-                    : StatusCode::kInternal,
-                message != nullptr && message->kind == JsonValue::Kind::kString
-                    ? message->string_value
-                    : fallback);
+StatusOr<HelloResponse> ParseFramedHello(const std::string& line,
+                                         uint64_t* request_id) {
+  return DecodeFrame(line, Responses().hello, request_id);
 }
 
-StatusOr<uint64_t> GetUint64(const JsonValue& value, const std::string& key) {
-  return GetUint(value, key);
+StatusOr<JobSummary> ParseFramedShardResult(const std::string& line,
+                                            uint64_t* request_id) {
+  return DecodeFrame(line, Responses().shard_result, request_id);
 }
 
-StatusOr<uint64_t> GetHex(const JsonValue& value, const std::string& key) {
-  auto text = GetString(value, key);
-  if (!text.ok()) return text.status();
-  return ParseHexU64(key, *text);
+StatusOr<PlanResponse> ParseFramedPlan(const std::string& line,
+                                       uint64_t* request_id) {
+  return DecodeFrame(line, Responses().plan, request_id);
 }
 
-/// Optional-field reader: an absent field keeps the default.
-template <typename T, typename Get>
-Status ReadField(const JsonValue& frame, const char* key, T* out, Get get) {
-  const JsonValue* value = frame.Find(key);
-  if (value == nullptr) return Status::Ok();
-  auto parsed = get(*value, key);
-  if (!parsed.ok()) return parsed.status();
-  *out = static_cast<T>(*parsed);
-  return Status::Ok();
+StatusOr<ShardSubmitResponse> ParseFramedShardSubmit(const std::string& line,
+                                                     uint64_t* request_id) {
+  return DecodeFrame(line, Responses().shard_submitted, request_id);
 }
 
-/// Parses a framed response line into its JSON object, surfacing
-/// {"ok":false,...} frames as the embedded structured Status. Requires
-/// frame["type"] == type and reads the correlation id when asked to.
-StatusOr<JsonValue> ParseResponseFrame(const std::string& line,
-                                       const char* type = nullptr,
-                                       uint64_t* request_id = nullptr) {
-  auto parsed = JsonParser(line).Parse();
-  if (!parsed.ok()) return parsed.status();
-  if (parsed->kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument(
-        "malformed frame: expected a JSON object");
-  }
-  const JsonValue* ok = parsed->Find("ok");
-  if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-    return Status::InvalidArgument(
-        "response frame is missing the 'ok' field");
-  }
-  if (!ok->bool_value) {
-    return ErrorObjectStatus(*parsed, "unspecified server error");
-  }
-  const JsonValue* got = parsed->Find("type");
-  if (type != nullptr &&
-      (got == nullptr || got->kind != JsonValue::Kind::kString ||
-       got->string_value != type)) {
-    return Status::InvalidArgument(
-        std::string("expected a '") + type + "' frame, got '" +
-        (got != nullptr && got->kind == JsonValue::Kind::kString
-             ? got->string_value
-             : "?") +
-        "'");
-  }
-  if (request_id != nullptr) {
-    KPLEX_RETURN_IF_ERROR(ReadField(*parsed, "id", request_id, GetUint64));
-  }
-  return parsed;
+StatusOr<ShardStopResponse> ParseFramedShardStop(const std::string& line,
+                                                 uint64_t* request_id) {
+  return DecodeFrame(line, Responses().shard_stopping, request_id);
 }
 
-/// Decodes the job fields a mine and a shard_result frame share. A
-/// failed job travels inside an ok frame (state + error); it comes back
-/// as that error, like any other failure.
-template <typename Parsed>
-StatusOr<JsonValue> ParseJobFrame(const std::string& line, const char* type,
-                                  const char* failed, Parsed* out) {
-  auto frame = ParseResponseFrame(line, type, &out->request_id);
-  if (!frame.ok()) return frame;
-  const JsonValue* state = frame->Find("state");
-  if (state == nullptr || state->kind != JsonValue::Kind::kString) {
-    return Status::InvalidArgument(std::string(type) +
-                                   " frame is missing 'state'");
-  }
-  out->state = state->string_value;
-  if (out->state == "failed") {
-    const JsonValue* error = frame->Find("error");
-    if (error != nullptr && error->kind == JsonValue::Kind::kObject) {
-      return ErrorObjectStatus(*error, failed);
-    }
-    return Status::Internal(failed);
-  }
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "plexes", &out->plexes, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "max_size", &out->max_size, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "fingerprint", &out->fingerprint, GetHex));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "seconds", &out->seconds, GetDouble));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "timed_out", &out->timed_out, GetBool));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "stopped_early", &out->stopped_early, GetBool));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "cancelled", &out->cancelled, GetBool));
-  return frame;
-}
-
-}  // namespace
-
-StatusOr<uint32_t> ParseFramedHelloVersion(const std::string& line) {
-  auto frame = ParseResponseFrame(line, "hello");
-  if (!frame.ok()) return frame.status();
-  const JsonValue* proto = frame->Find("proto");
-  if (proto == nullptr) {
-    return Status::InvalidArgument("hello frame is missing 'proto'");
-  }
-  return UintCodec<uint32_t>().parse_json("proto", *proto);
-}
-
-StatusOr<ParsedShardResult> ParseFramedShardResult(const std::string& line) {
-  ParsedShardResult result;
-  auto frame =
-      ParseJobFrame(line, "shard_result", "shard job failed", &result);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "total_seeds", &result.total_seeds, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "fingerprint_xor", &result.fingerprint_xor, GetHex));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "content_hash", &result.content_hash, GetHex));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "yielded", &result.yielded, GetBool));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "covered_begin", &result.covered_begin, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "covered_end", &result.covered_end, GetUint64));
-  return result;
-}
-
-StatusOr<ParsedPlan> ParseFramedPlan(const std::string& line) {
-  ParsedPlan plan;
-  auto frame = ParseResponseFrame(line, "plan", &plan.request_id);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "total_seeds", &plan.total_seeds, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "content_hash", &plan.content_hash, GetHex));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "degeneracy", &plan.degeneracy, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "precomputed", &plan.precomputed, GetBool));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "seconds", &plan.seconds, GetDouble));
-  for (const char* key : {"degrees", "coreness"}) {
-    const JsonValue* array = frame->Find(key);
-    if (array == nullptr || array->kind != JsonValue::Kind::kArray) {
-      return Status::InvalidArgument(std::string("plan frame is missing the '") +
-                                     key + "' array");
-    }
-    KPLEX_RETURN_IF_ERROR(ReadField(
-        *frame, key,
-        std::string(key) == "degrees" ? &plan.degrees : &plan.coreness,
-        GetUint32Array));
-  }
-  if (plan.degrees.size() != plan.coreness.size()) {
-    return Status::InvalidArgument(
-        "plan frame arrays disagree on seed count");
-  }
-  return plan;
-}
-
-StatusOr<ParsedShardSubmit> ParseFramedShardSubmit(const std::string& line) {
-  ParsedShardSubmit submit;
-  auto frame = ParseResponseFrame(line, "shard_submitted", &submit.request_id);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "job", &submit.job, GetUint64));
-  KPLEX_RETURN_IF_ERROR(
-      ReadField(*frame, "content_hash", &submit.content_hash, GetHex));
-  return submit;
-}
-
-StatusOr<uint64_t> ParseFramedShardStop(const std::string& line) {
-  auto frame = ParseResponseFrame(line, "shard_stopping");
-  if (!frame.ok()) return frame.status();
-  uint64_t job = 0;
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "job", &job, GetUint64));
-  return job;
-}
-
-StatusOr<ParsedWorkerAck> ParseFramedWorkerAck(const std::string& line) {
-  ParsedWorkerAck ack;
-  auto frame = ParseResponseFrame(line, "worker_ack", &ack.request_id);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "worker", &ack.worker, GetUint64));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "state", &ack.state, GetString));
-  return ack;
+StatusOr<WorkerAckResponse> ParseFramedWorkerAck(const std::string& line,
+                                                 uint64_t* request_id) {
+  return DecodeFrame(line, Responses().worker_ack, request_id);
 }
 
 StatusOr<std::string> PeekFramedResponseType(const std::string& line) {
   auto frame = ParseResponseFrame(line);
   if (!frame.ok()) return frame.status();
-  const JsonValue* type = frame->Find("type");
-  if (type == nullptr || type->kind != JsonValue::Kind::kString) {
-    return Status::InvalidArgument("response frame is missing 'type'");
-  }
-  return type->string_value;
+  return frame->Find("type")->string_value;
 }
 
-StatusOr<ParsedResultChunk> ParseFramedResultChunk(const std::string& line) {
-  ParsedResultChunk chunk;
-  auto frame = ParseResponseFrame(line, "result_chunk", &chunk.request_id);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "job", &chunk.job, GetUint64));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "seq", &chunk.seq, GetUint64));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "last", &chunk.last, GetBool));
-  const JsonValue* plexes = frame->Find("plexes");
-  if (plexes == nullptr || plexes->kind != JsonValue::Kind::kArray) {
-    return Status::InvalidArgument(
-        "result_chunk frame is missing the 'plexes' array");
-  }
-  chunk.plexes.reserve(plexes->array.size());
-  for (const JsonValue& plex : plexes->array) {
-    if (plex.kind != JsonValue::Kind::kArray) {
-      return WrongType("plexes", "an array of vertex-id arrays");
-    }
-    auto vertices = GetUint32Array(plex, "plexes");
-    if (!vertices.ok()) return vertices.status();
-    chunk.plexes.push_back(*std::move(vertices));
-  }
-  return chunk;
+StatusOr<ResultChunkResponse> ParseFramedResultChunk(const std::string& line,
+                                                     uint64_t* request_id) {
+  return DecodeFrame(line, Responses().result_chunk, request_id);
 }
 
-StatusOr<ParsedMineResult> ParseFramedMineResult(const std::string& line) {
-  ParsedMineResult result;
-  auto frame = ParseJobFrame(line, "mine", "mine job failed", &result);
-  if (!frame.ok()) return frame.status();
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "bodies", &result.bodies, GetUint64));
-  KPLEX_RETURN_IF_ERROR(ReadField(*frame, "cached", &result.cached, GetBool));
-  const JsonValue* cursor = frame->Find("cursor");
-  if (cursor != nullptr) {
-    auto text = GetString(*cursor, "cursor");
-    if (!text.ok()) return text.status();
-    auto parsed = ParseCursorValue("cursor", *text);
-    if (!parsed.ok()) return parsed.status();
-    std::tie(result.cursor_seed, result.cursor_ordinal) = *parsed;
-    result.has_cursor = true;
-  }
-  return result;
+StatusOr<JobSummary> ParseFramedMineResult(const std::string& line,
+                                           uint64_t* request_id) {
+  return DecodeFrame(line, Responses().mine, request_id);
 }
 
 StatusOr<ResumeCursor> ParseCursorText(const std::string& value) {
-  auto cursor = ParseCursorValue("cursor", value);
-  if (!cursor.ok()) return cursor.status();
-  return ResumeCursor{cursor->first, cursor->second};
+  const std::size_t colon = value.find(':');
+  if (colon == std::string::npos) {
+    return Status::InvalidArgument(
+        "cursor must be SEED:ORDINAL (the resume token a truncated run "
+        "returned), got '" + value + "'");
+  }
+  auto parsed_seed = ParseUint("cursor", value.substr(0, colon), UINT32_MAX);
+  if (!parsed_seed.ok()) return parsed_seed.status();
+  auto parsed_ordinal = ParseUint("cursor", value.substr(colon + 1));
+  if (!parsed_ordinal.ok()) return parsed_ordinal.status();
+  return ResumeCursor{static_cast<uint32_t>(*parsed_seed), *parsed_ordinal};
 }
 
 std::string FormatCursorValue(uint32_t seed, uint64_t ordinal) {

@@ -534,38 +534,66 @@ std::string FormatFramedRequest(const Request& request);
 std::string FormatFramedResponse(const Response& response);
 
 // ------------------------------------------- framed client-side decode
-// The coordinator is a protocol *client*: it reads framed response
-// lines off worker sockets. These decoders parse the frames it
-// consumes. Error frames ({"ok":false,...}) come back as the
-// embedded structured Status (code restored via StatusCodeFromName).
+// The coordinator and the remote CLI clients are protocol *clients*:
+// they read framed response lines off sockets. These decoders read the
+// frames they consume through the same per-frame field tables
+// FormatFramedResponse writes them from. A key the writer always emits
+// for a frame (and job state) is required: its absence is an
+// INVALID_ARGUMENT naming the frame and the key. Unknown keys are
+// ignored (additive compatibility). Error frames ({"ok":false,...})
+// come back as the embedded structured Status (code restored via
+// StatusCodeFromName). When `request_id` is non-null it receives the
+// frame's correlation id.
 
-/// Decodes a framed hello response; returns the negotiated version.
-StatusOr<uint32_t> ParseFramedHelloVersion(const std::string& line);
+/// A parsed resume token (wire grammar "SEED:ORDINAL").
+struct ResumeCursor {
+  uint32_t seed = 0;
+  uint64_t ordinal = 0;
+  bool operator==(const ResumeCursor&) const = default;
+};
 
-/// A decoded shard_result frame — the mergeable summary of one shard.
-struct ParsedShardResult {
-  uint64_t request_id = 0;
-  std::string state;           ///< "done" unless the shard was cut short
-  uint64_t plexes = 0;
+/// The job a mine or shard_result frame reports (wait and jobs frames
+/// carry the same job fields). The result fields are present only for
+/// a job that ran: state "done", or "cancelled" after it started.
+struct JobSummary {
+  uint64_t job = 0;
+  QueryRequest query;     ///< the echoed run options (no selection)
+  std::string state;      ///< "done" / "cancelled" / "failed"
+  bool started = false;
+  uint64_t plexes = 0;    ///< served count (post-filter / post-top)
   uint64_t max_size = 0;
-  uint64_t fingerprint = 0;     ///< composite, for per-shard logging
-  uint64_t fingerprint_xor = 0; ///< the mergeable XOR half
-  uint64_t total_seeds = 0;     ///< seed-space size (coordinator planning)
-  uint64_t content_hash = 0;    ///< the worker's graph hash
+  uint64_t fingerprint = 0;  ///< composite, for per-shard logging
   double seconds = 0;
-  // Truncation flags: a kDone job may still be a *partial* answer (hit
+  double compute_seconds = 0;
+  bool cached = false;
+  bool precomputed = false;
+  // Truncation flags: a done job may still be a *partial* answer (hit
   // the time limit or a result cap). A merge must reject these — the
   // coordinator treats any of them as a hard failure.
   bool timed_out = false;
   bool stopped_early = false;
   bool cancelled = false;
+  /// Number of bodies the server buffered (and streamed, for a
+  /// results=stream request) — what the chunk frames should reassemble
+  /// to. Absent when the request did not ask for bodies.
+  std::optional<uint64_t> bodies;
+  /// Present when the run stopped at max-results with more enumeration
+  /// left.
+  std::optional<ResumeCursor> cursor;
+  /// A failed job's status, written as the frame's error object. A
+  /// decoder returns it as its Status instead of a summary.
+  std::optional<Status> error;
+
+  // shard_result only: the mergeable pieces.
+  uint64_t fingerprint_xor = 0;  ///< the mergeable XOR half
+  uint64_t total_seeds = 0;      ///< seed-space size (coordinator planning)
   /// Yield outcome (v5 work-stealing): a yielded shard is a *complete*
   /// answer for [covered_begin, covered_end) only — the coordinator
-  /// merges the prefix and re-issues the remainder. Older servers never
-  /// set these; the defaults make the shard look whole.
+  /// merges the prefix and re-issues the remainder.
   bool yielded = false;
   uint64_t covered_begin = 0;
   uint64_t covered_end = 0;
+  uint64_t content_hash = 0;  ///< the worker's graph hash
 
   /// True iff this shard is a complete answer for its *requested*
   /// range (a yielded shard is complete only for its covered prefix —
@@ -576,94 +604,35 @@ struct ParsedShardResult {
   }
 };
 
-/// Decodes a framed shard_result response line.
-StatusOr<ParsedShardResult> ParseFramedShardResult(const std::string& line);
-
-/// A decoded plan frame (v5) — the coordinator's cost-estimate inputs.
-struct ParsedPlan {
-  uint64_t request_id = 0;
-  uint64_t total_seeds = 0;
-  uint64_t content_hash = 0;
-  uint64_t degeneracy = 0;
-  std::vector<uint32_t> degrees;
-  std::vector<uint32_t> coreness;
-  bool precomputed = false;
-  double seconds = 0;
-};
-
-/// Decodes a framed plan response line.
-StatusOr<ParsedPlan> ParseFramedPlan(const std::string& line);
-
-/// A decoded shard_submitted frame (v5) — the async shard handle.
-struct ParsedShardSubmit {
-  uint64_t request_id = 0;
-  uint64_t job = 0;
-  uint64_t content_hash = 0;
-};
-
-/// Decodes a framed shard_submitted response line.
-StatusOr<ParsedShardSubmit> ParseFramedShardSubmit(const std::string& line);
-
-/// Decodes a framed shard_stopping ack (v5 `shardstop`); returns the
-/// yielded job id, or the worker's structured refusal (e.g.
-/// FAILED_PRECONDITION when the shard already finished — benign for a
-/// stealer: the victim's result is complete and merges normally).
-StatusOr<uint64_t> ParseFramedShardStop(const std::string& line);
-
-/// A decoded worker_ack frame (v5) — register/heartbeat/drain outcome.
-struct ParsedWorkerAck {
-  uint64_t request_id = 0;
-  uint64_t worker = 0;
-  std::string state;
-};
-
-/// Decodes a framed worker_ack response line.
-StatusOr<ParsedWorkerAck> ParseFramedWorkerAck(const std::string& line);
+StatusOr<HelloResponse> ParseFramedHello(const std::string& line,
+                                         uint64_t* request_id = nullptr);
+StatusOr<JobSummary> ParseFramedShardResult(const std::string& line,
+                                            uint64_t* request_id = nullptr);
+/// Also refuses a plan whose degrees or coreness array does not hold
+/// exactly total_seeds entries.
+StatusOr<PlanResponse> ParseFramedPlan(const std::string& line,
+                                       uint64_t* request_id = nullptr);
+StatusOr<ShardSubmitResponse> ParseFramedShardSubmit(
+    const std::string& line, uint64_t* request_id = nullptr);
+/// A stealer's refusal to expect: FAILED_PRECONDITION when the shard
+/// already finished — benign, the victim's result is complete and
+/// merges normally.
+StatusOr<ShardStopResponse> ParseFramedShardStop(
+    const std::string& line, uint64_t* request_id = nullptr);
+StatusOr<WorkerAckResponse> ParseFramedWorkerAck(
+    const std::string& line, uint64_t* request_id = nullptr);
+StatusOr<ResultChunkResponse> ParseFramedResultChunk(
+    const std::string& line, uint64_t* request_id = nullptr);
+/// The final mine frame a streaming client reads after draining the
+/// chunk frames of the same request id.
+StatusOr<JobSummary> ParseFramedMineResult(const std::string& line,
+                                           uint64_t* request_id = nullptr);
 
 /// The frame's "type" value ("mine", "result_chunk", "error", ...) —
 /// how a streaming client decides which decoder to hand a line to.
 /// Error frames are NOT surfaced as a type: they come back as their
 /// embedded structured Status, like every decoder here.
 StatusOr<std::string> PeekFramedResponseType(const std::string& line);
-
-/// A decoded result_chunk frame — one bounded slice of a streamed body.
-struct ParsedResultChunk {
-  uint64_t request_id = 0;
-  uint64_t job = 0;
-  uint64_t seq = 0;
-  bool last = false;
-  std::vector<std::vector<VertexId>> plexes;
-};
-
-/// Decodes a framed result_chunk response line.
-StatusOr<ParsedResultChunk> ParseFramedResultChunk(const std::string& line);
-
-/// A decoded final mine frame — the verdict a streaming client reads
-/// after draining the chunk frames of the same request id.
-struct ParsedMineResult {
-  uint64_t request_id = 0;
-  std::string state;        ///< "done" / "cancelled" / "failed"
-  uint64_t plexes = 0;      ///< served count (post-filter / post-top)
-  uint64_t max_size = 0;
-  /// Number of bodies the server buffered (and streamed, for a
-  /// results=stream request) — what the chunk frames should reassemble
-  /// to. 0 when the request did not ask for bodies.
-  uint64_t bodies = 0;
-  uint64_t fingerprint = 0;
-  double seconds = 0;
-  bool cached = false;
-  bool timed_out = false;
-  bool stopped_early = false;
-  bool cancelled = false;
-  /// Resume cursor, present when the run stopped at max-results with
-  /// more enumeration left.
-  bool has_cursor = false;
-  uint32_t cursor_seed = 0;
-  uint64_t cursor_ordinal = 0;
-};
-
-/// Decodes a framed mine response line.
-StatusOr<ParsedMineResult> ParseFramedMineResult(const std::string& line);
 
 // ------------------------------------------------------------ error hygiene
 
@@ -691,12 +660,6 @@ const char* RequestVerbName(const RequestPayload& payload);
 /// "end" for the open upper bound) into a half-open SeedRange. Shared
 /// by the protocol codecs and the CLI's --seed-range flag.
 StatusOr<SeedRange> ParseSeedRangeText(const std::string& value);
-
-/// A parsed resume token (wire grammar "SEED:ORDINAL").
-struct ResumeCursor {
-  uint32_t seed = 0;
-  uint64_t ordinal = 0;
-};
 
 /// Parses the cursor grammar "SEED:ORDINAL". Shared by the protocol
 /// codecs and the CLI's --cursor flag.

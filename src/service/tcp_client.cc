@@ -59,11 +59,12 @@ Status TcpClient::ConnectFramed(const std::string& endpoint,
                                  " mode=framed"));
   auto hello = ReadLine();
   if (!hello.ok()) return hello.status();
-  auto version = ParseFramedHelloVersion(*hello);
-  if (!version.ok()) return version.status();
-  if (*version < min_version) {
+  auto negotiated = ParseFramedHello(*hello);
+  if (!negotiated.ok()) return negotiated.status();
+  if (negotiated->version < min_version) {
     return Status::FailedPrecondition(
-        endpoint + " negotiated protocol v" + std::to_string(*version) +
+        endpoint + " negotiated protocol v" +
+        std::to_string(negotiated->version) +
         " but " + need + " needs v" + std::to_string(min_version) +
         " (upgrade it)");
   }

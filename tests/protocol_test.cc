@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -1206,75 +1207,110 @@ TEST(ProtocolFramed, ResponseMatchesWireGoldens) {
 }
 
 // Round trips: each client decoder, fed a corpus frame it reads,
-// reproduces every field it decodes. Error frames come back from any
-// decoder as the embedded status.
+// reproduces every field the frame carries. Error frames come back
+// from any decoder as the embedded status.
 
-void ExpectJobDecodes(const StatusOr<ParsedMineResult>& decoded,
-                      uint64_t id, const JobInfo& job) {
+/// Decodes `line`, checking the correlation id of a decoded frame.
+template <typename T>
+StatusOr<T> Decode(StatusOr<T> (*decode)(const std::string&, uint64_t*),
+                   const std::string& line, uint64_t id) {
+  uint64_t decoded_id = ~uint64_t{0};
+  StatusOr<T> decoded = decode(line, &decoded_id);
+  if (decoded.ok()) EXPECT_EQ(decoded_id, id);
+  return decoded;
+}
+
+/// The echo carries the run options; the selection stays at defaults.
+void ExpectQueryEcho(const QueryRequest& echo, const QueryRequest& query) {
+  EXPECT_EQ(echo.graph, query.graph);
+  EXPECT_EQ(echo.k, query.k);
+  EXPECT_EQ(echo.q, query.q);
+  EXPECT_EQ(echo.algo, query.algo);
+  EXPECT_EQ(echo.threads, query.threads);
+  EXPECT_EQ(echo.max_results, query.max_results);
+  EXPECT_EQ(echo.time_limit_seconds, query.time_limit_seconds);
+  EXPECT_EQ(echo.tau_ms, query.tau_ms);
+  EXPECT_EQ(echo.use_ctcp, query.use_ctcp);
+  EXPECT_EQ(echo.use_cache, query.use_cache);
+  EXPECT_EQ(echo.seed_begin, query.seed_begin);
+  EXPECT_EQ(echo.seed_end, query.seed_end);
+  EXPECT_FALSE(echo.collect_bodies);
+  EXPECT_EQ(echo.chunk_size, 0u);
+  EXPECT_EQ(echo.filter_min_size, 0u);
+  EXPECT_EQ(echo.top_k, 0u);
+}
+
+/// A job frame: the result fields only when the job ran, the shard
+/// fields only on a shard_result frame.
+void ExpectJobDecodes(const StatusOr<JobSummary>& decoded, const JobInfo& job,
+                      const ShardResultResponse* shard) {
   if (job.state == JobState::kFailed) {
     EXPECT_EQ(decoded.status(), job.status);
     return;
   }
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->job, job.id);
+  ExpectQueryEcho(decoded->query, job.request);
   EXPECT_EQ(decoded->state, JobStateName(job.state));
-  EXPECT_EQ(decoded->plexes, job.result.num_plexes);
-  EXPECT_EQ(decoded->max_size, job.result.max_plex_size);
-  EXPECT_EQ(decoded->fingerprint, job.result.fingerprint);
-  EXPECT_EQ(decoded->seconds, job.result.seconds);
-  EXPECT_EQ(decoded->cached, job.result.from_cache);
-  EXPECT_EQ(decoded->timed_out, job.result.timed_out);
-  EXPECT_EQ(decoded->stopped_early, job.result.stopped_early);
-  EXPECT_EQ(decoded->cancelled, job.result.cancelled);
+  EXPECT_EQ(decoded->started, job.started);
+  const bool ran = job.state == JobState::kDone || job.started;
+  const QueryResult result = ran ? job.result : QueryResult{};
+  EXPECT_EQ(decoded->plexes, result.num_plexes);
+  EXPECT_EQ(decoded->max_size, result.max_plex_size);
+  EXPECT_EQ(decoded->fingerprint, result.fingerprint);
+  EXPECT_EQ(decoded->seconds, result.seconds);
+  EXPECT_EQ(decoded->compute_seconds, result.compute_seconds);
+  EXPECT_EQ(decoded->cached, result.from_cache);
+  EXPECT_EQ(decoded->precomputed, result.reduction_precomputed);
+  EXPECT_EQ(decoded->timed_out, result.timed_out);
+  EXPECT_EQ(decoded->stopped_early, result.stopped_early);
+  EXPECT_EQ(decoded->cancelled, result.cancelled);
   EXPECT_EQ(decoded->bodies,
-            job.result.plexes != nullptr ? job.result.plexes->size() : 0);
-  EXPECT_EQ(decoded->has_cursor, job.result.has_cursor);
-  EXPECT_EQ(decoded->cursor_seed, job.result.cursor_seed);
-  EXPECT_EQ(decoded->cursor_ordinal, job.result.cursor_ordinal);
+            result.plexes != nullptr
+                ? std::optional<uint64_t>(result.plexes->size())
+                : std::nullopt);
+  EXPECT_EQ(decoded->cursor,
+            result.has_cursor
+                ? std::optional<ResumeCursor>(ResumeCursor{
+                      result.cursor_seed, result.cursor_ordinal})
+                : std::nullopt);
+  EXPECT_FALSE(decoded->error.has_value());
+  const QueryResult shard_result = shard != nullptr ? result : QueryResult{};
+  EXPECT_EQ(decoded->fingerprint_xor, shard_result.fingerprint_xor);
+  EXPECT_EQ(decoded->total_seeds, shard_result.total_seeds);
+  EXPECT_EQ(decoded->yielded, shard_result.yielded);
+  EXPECT_EQ(decoded->covered_begin,
+            shard_result.yielded ? shard_result.covered_begin : 0);
+  EXPECT_EQ(decoded->covered_end,
+            shard_result.yielded ? shard_result.covered_end : 0);
+  EXPECT_EQ(decoded->content_hash, shard != nullptr ? shard->content_hash : 0);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const HelloResponse& hello) {
-  auto decoded = ParseFramedHelloVersion(line);
+  auto decoded = Decode(ParseFramedHello, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, hello.version);
+  EXPECT_EQ(decoded->version, hello.version);
+  EXPECT_EQ(decoded->mode, hello.mode.value_or(WireMode::kFramed));
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const MineResponse& mine) {
-  ExpectJobDecodes(ParseFramedMineResult(line), id, mine.job);
+  ExpectJobDecodes(Decode(ParseFramedMineResult, line, id), mine.job,
+                   nullptr);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const ShardResultResponse& shard) {
-  auto decoded = ParseFramedShardResult(line);
-  if (shard.job.state == JobState::kFailed) {
-    EXPECT_EQ(decoded.status(), shard.job.status);
-    return;
-  }
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
-  EXPECT_EQ(decoded->state, JobStateName(shard.job.state));
-  EXPECT_EQ(decoded->plexes, shard.job.result.num_plexes);
-  EXPECT_EQ(decoded->max_size, shard.job.result.max_plex_size);
-  EXPECT_EQ(decoded->fingerprint, shard.job.result.fingerprint);
-  EXPECT_EQ(decoded->fingerprint_xor, shard.job.result.fingerprint_xor);
-  EXPECT_EQ(decoded->total_seeds, shard.job.result.total_seeds);
-  EXPECT_EQ(decoded->content_hash, shard.content_hash);
-  EXPECT_EQ(decoded->seconds, shard.job.result.seconds);
-  EXPECT_EQ(decoded->timed_out, shard.job.result.timed_out);
-  EXPECT_EQ(decoded->stopped_early, shard.job.result.stopped_early);
-  EXPECT_EQ(decoded->cancelled, shard.job.result.cancelled);
-  EXPECT_EQ(decoded->yielded, shard.job.result.yielded);
-  EXPECT_EQ(decoded->covered_begin, shard.job.result.covered_begin);
-  EXPECT_EQ(decoded->covered_end, shard.job.result.covered_end);
+  ExpectJobDecodes(Decode(ParseFramedShardResult, line, id), shard.job,
+                   &shard);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const PlanResponse& plan) {
-  auto decoded = ParseFramedPlan(line);
+  auto decoded = Decode(ParseFramedPlan, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
+  EXPECT_EQ(decoded->graph, plan.graph);
   EXPECT_EQ(decoded->total_seeds, plan.total_seeds);
   EXPECT_EQ(decoded->content_hash, plan.content_hash);
   EXPECT_EQ(decoded->degeneracy, plan.degeneracy);
@@ -1286,34 +1322,31 @@ void ExpectDecodes(const std::string& line, uint64_t id,
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const ShardSubmitResponse& submit) {
-  auto decoded = ParseFramedShardSubmit(line);
+  auto decoded = Decode(ParseFramedShardSubmit, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
   EXPECT_EQ(decoded->job, submit.job);
   EXPECT_EQ(decoded->content_hash, submit.content_hash);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const ShardStopResponse& stop) {
-  auto decoded = ParseFramedShardStop(line);
+  auto decoded = Decode(ParseFramedShardStop, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(*decoded, stop.job);
+  EXPECT_EQ(decoded->job, stop.job);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const WorkerAckResponse& ack) {
-  auto decoded = ParseFramedWorkerAck(line);
+  auto decoded = Decode(ParseFramedWorkerAck, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
   EXPECT_EQ(decoded->worker, ack.worker);
   EXPECT_EQ(decoded->state, ack.state);
 }
 
 void ExpectDecodes(const std::string& line, uint64_t id,
                    const ResultChunkResponse& chunk) {
-  auto decoded = ParseFramedResultChunk(line);
+  auto decoded = Decode(ParseFramedResultChunk, line, id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, id);
   EXPECT_EQ(decoded->job, chunk.job);
   EXPECT_EQ(decoded->seq, chunk.seq);
   EXPECT_EQ(decoded->last, chunk.last);
@@ -1322,7 +1355,7 @@ void ExpectDecodes(const std::string& line, uint64_t id,
 
 void ExpectDecodes(const std::string& line, uint64_t,
                    const ErrorResponse& error) {
-  EXPECT_EQ(ParseFramedHelloVersion(line).status(), error.status);
+  EXPECT_EQ(ParseFramedHello(line).status(), error.status);
   EXPECT_EQ(ParseFramedMineResult(line).status(), error.status);
   EXPECT_EQ(ParseFramedShardResult(line).status(), error.status);
   EXPECT_EQ(ParseFramedPlan(line).status(), error.status);
@@ -1347,6 +1380,170 @@ TEST(ProtocolFramed, DecodersRoundTripTheResponseCorpus) {
         },
         response.payload);
   }
+}
+
+// ------------------------------------------------ required response keys
+
+/// One member of a compact JSON object: its key and the [begin, end)
+/// span of its "key":value text.
+struct Member {
+  std::string key;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// The members of the compact JSON object `object` (writer output:
+/// keys carry no escapes).
+std::vector<Member> Members(const std::string& object) {
+  std::vector<Member> members;
+  int depth = 0;
+  bool in_string = false;
+  for (std::size_t i = 0; i < object.size(); ++i) {
+    const char c = object[i];
+    if (in_string) {
+      if (c == '\\') {
+        ++i;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (depth == 1 && (c == ',' || c == '}') && !members.empty()) {
+      members.back().end = i;
+    }
+    if (c == '"') {
+      if (depth == 1 && (object[i - 1] == '{' || object[i - 1] == ',')) {
+        const std::size_t close = object.find('"', i + 1);
+        members.push_back({object.substr(i + 1, close - i - 1), i, 0});
+      }
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+    }
+  }
+  return members;
+}
+
+/// `object` without `member` (and the comma that separated it).
+std::string Without(const std::string& object, const Member& member) {
+  std::string out = object;
+  if (out[member.end] == ',') return out.erase(member.begin,
+                                               member.end + 1 - member.begin);
+  const std::size_t begin = out[member.begin - 1] == ',' ? member.begin - 1
+                                                         : member.begin;
+  return out.erase(begin, member.end - begin);
+}
+
+/// `object` with `member`'s value replaced by `value`.
+std::string WithValue(const std::string& object, const Member& member,
+                      const std::string& value) {
+  const std::size_t colon = member.begin + member.key.size() + 3;
+  std::string out = object;
+  return out.replace(colon, member.end - colon, value);
+}
+
+/// The value text of `member`.
+std::string ValueOf(const std::string& object, const Member& member) {
+  const std::size_t colon = member.begin + member.key.size() + 3;
+  return object.substr(colon, member.end - colon);
+}
+
+/// The decoder a client reads `payload`'s frame with, applied to
+/// `line`; nullopt for frames no client decodes.
+std::optional<Status> DecodeAs(const ResponsePayload& payload,
+                               const std::string& line) {
+  return std::visit(
+      [&line](const auto& held) -> std::optional<Status> {
+        using T = std::decay_t<decltype(held)>;
+        if constexpr (std::is_same_v<T, HelloResponse>) {
+          return ParseFramedHello(line).status();
+        } else if constexpr (std::is_same_v<T, MineResponse>) {
+          return ParseFramedMineResult(line).status();
+        } else if constexpr (std::is_same_v<T, ShardResultResponse>) {
+          return ParseFramedShardResult(line).status();
+        } else if constexpr (std::is_same_v<T, PlanResponse>) {
+          return ParseFramedPlan(line).status();
+        } else if constexpr (std::is_same_v<T, ShardSubmitResponse>) {
+          return ParseFramedShardSubmit(line).status();
+        } else if constexpr (std::is_same_v<T, ShardStopResponse>) {
+          return ParseFramedShardStop(line).status();
+        } else if constexpr (std::is_same_v<T, WorkerAckResponse>) {
+          return ParseFramedWorkerAck(line).status();
+        } else if constexpr (std::is_same_v<T, ResultChunkResponse>) {
+          return ParseFramedResultChunk(line).status();
+        } else {
+          return std::nullopt;
+        }
+      },
+      payload);
+}
+
+/// Keys the writer emits only sometimes; every other key of a decoded
+/// golden frame is required for that frame and job state.
+bool OptionalKey(const std::string& key) {
+  for (const char* optional :
+       {"bodies", "cursor", "yielded", "covered_begin", "covered_end",
+        // query echo: only set run options are written
+        "threads", "max_results", "time_limit", "tau_ms", "ctcp", "cache",
+        "seed_begin", "seed_end"}) {
+    if (key == optional) return true;
+  }
+  return false;
+}
+
+TEST(ProtocolFramed, DecodersRefuseAFrameMissingARequiredKey) {
+  const std::vector<Response> corpus = ResponseCorpus();
+  std::size_t checked = 0;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const std::string& golden = ResponseWireGoldens()[i];
+    if (std::holds_alternative<ErrorResponse>(corpus[i].payload) ||
+        !DecodeAs(corpus[i].payload, golden).has_value()) {
+      continue;
+    }
+    auto expect_refused = [&](const std::string& mutant,
+                              const std::string& key) {
+      const Status status = *DecodeAs(corpus[i].payload, mutant);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "without '" << key << "': " << mutant;
+      EXPECT_NE(status.message().find(key), std::string::npos)
+          << status.ToString();
+      ++checked;
+    };
+    for (const Member& member : Members(golden)) {
+      if (!OptionalKey(member.key)) {
+        expect_refused(Without(golden, member), member.key);
+      }
+      // The nested query echo and a failed job's error object.
+      if (member.key != "query" && member.key != "error") continue;
+      const std::string nested = ValueOf(golden, member);
+      for (const Member& inner : Members(nested)) {
+        if (OptionalKey(inner.key)) continue;
+        expect_refused(WithValue(golden, member, Without(nested, inner)),
+                       inner.key);
+      }
+    }
+  }
+  EXPECT_GT(checked, 150u);
+}
+
+TEST(ProtocolFramed, PlanArraysMustHoldOneEntryPerSeed) {
+  PlanResponse plan{"web", 3, 0x1ULL, 5, {4, 0, 2}, {5, 1, 3}, false, 0.5};
+  Response response;
+  response.payload = plan;
+  ASSERT_TRUE(ParseFramedPlan(FormatFramedResponse(response)).ok());
+  plan.total_seeds = 4;  // arrays one short of the seed space
+  response.payload = plan;
+  auto decoded = ParseFramedPlan(FormatFramedResponse(response));
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message(),
+            "plan frame carries 3 degrees and 3 coreness values for 4 seeds");
+  plan.total_seeds = 3;
+  plan.coreness.pop_back();  // arrays disagree with each other
+  response.payload = plan;
+  EXPECT_EQ(ParseFramedPlan(FormatFramedResponse(response)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------- framed client-side decode
@@ -1376,9 +1573,10 @@ TEST(ProtocolFramed, ShardResultRoundTripsThroughTheClientDecoder) {
       << frame;
   EXPECT_NE(frame.find("\"seed_begin\":100"), std::string::npos) << frame;
 
-  auto decoded = ParseFramedShardResult(frame);
+  uint64_t request_id = 0;
+  auto decoded = ParseFramedShardResult(frame, &request_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, 7u);
+  EXPECT_EQ(request_id, 7u);
   EXPECT_EQ(decoded->state, "done");
   EXPECT_EQ(decoded->plexes, 2566u);
   EXPECT_EQ(decoded->max_size, 14u);
@@ -1442,20 +1640,19 @@ TEST(ProtocolFramed, HelloVersionDecoder) {
   hello.version = 2;
   hello.mode = WireMode::kFramed;
   response.payload = hello;
-  auto version = ParseFramedHelloVersion(FormatFramedResponse(response));
-  ASSERT_TRUE(version.ok()) << version.status().ToString();
-  EXPECT_EQ(*version, 2u);
+  auto decoded = ParseFramedHello(FormatFramedResponse(response));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->version, 2u);
 
   // A v1 server's hello decodes to 1 (the coordinator's refusal path).
   hello.version = 1;
   response.payload = hello;
-  version = ParseFramedHelloVersion(FormatFramedResponse(response));
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, 1u);
+  decoded = ParseFramedHello(FormatFramedResponse(response));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->version, 1u);
 
-  EXPECT_FALSE(ParseFramedHelloVersion("{\"ok\":true,\"type\":\"bye\"}")
-                   .ok());
-  EXPECT_FALSE(ParseFramedHelloVersion("nope").ok());
+  EXPECT_FALSE(ParseFramedHello("{\"ok\":true,\"type\":\"bye\"}").ok());
+  EXPECT_FALSE(ParseFramedHello("nope").ok());
 }
 
 // ------------------------------------------- v4 streamed result delivery
@@ -1520,9 +1717,10 @@ TEST(ProtocolFramed, ResultChunkFrameGoldenAndClientDecode) {
   ASSERT_TRUE(type.ok()) << type.status().ToString();
   EXPECT_EQ(*type, "result_chunk");
 
-  auto decoded = ParseFramedResultChunk(frame);
+  uint64_t request_id = 0;
+  auto decoded = ParseFramedResultChunk(frame, &request_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, 9u);
+  EXPECT_EQ(request_id, 9u);
   EXPECT_EQ(decoded->job, 3u);
   EXPECT_EQ(decoded->seq, 1u);
   EXPECT_TRUE(decoded->last);
@@ -1601,18 +1799,19 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   EXPECT_NE(frame.find("\"bodies\":3"), std::string::npos) << frame;
   EXPECT_NE(frame.find("\"cursor\":\"17:4\""), std::string::npos) << frame;
 
-  auto decoded = ParseFramedMineResult(frame);
+  uint64_t request_id = 0;
+  auto decoded = ParseFramedMineResult(frame, &request_id);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->request_id, 2u);
+  EXPECT_EQ(request_id, 2u);
   EXPECT_EQ(decoded->state, "done");
   EXPECT_EQ(decoded->plexes, 7u);
   EXPECT_EQ(decoded->max_size, 9u);
   EXPECT_EQ(decoded->bodies, 3u);
   EXPECT_EQ(decoded->fingerprint, 0x0123456789abcdefULL);
   EXPECT_TRUE(decoded->stopped_early);
-  EXPECT_TRUE(decoded->has_cursor);
-  EXPECT_EQ(decoded->cursor_seed, 17u);
-  EXPECT_EQ(decoded->cursor_ordinal, 4u);
+  ASSERT_TRUE(decoded->cursor.has_value());
+  EXPECT_EQ(decoded->cursor->seed, 17u);
+  EXPECT_EQ(decoded->cursor->ordinal, 4u);
 
   // Without bodies or truncation both extras are absent and default.
   done.result.plexes = nullptr;
@@ -1621,8 +1820,8 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   response.payload = MineResponse{done};
   decoded = ParseFramedMineResult(FormatFramedResponse(response));
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->bodies, 0u);
-  EXPECT_FALSE(decoded->has_cursor);
+  EXPECT_FALSE(decoded->bodies.has_value());
+  EXPECT_FALSE(decoded->cursor.has_value());
 
   // A failed mine surfaces its embedded status.
   JobInfo failed;
@@ -1638,16 +1837,13 @@ TEST(ProtocolFramed, MineResultDecoderReadsBodiesAndCursor) {
   EXPECT_FALSE(ParseFramedMineResult("{\"ok\":true,\"type\":\"hello\"}")
                    .ok());
   EXPECT_FALSE(ParseFramedMineResult("nope").ok());
-  EXPECT_FALSE(
-      ParseFramedMineResult(
-          "{\"id\":1,\"ok\":true,\"type\":\"mine\",\"state\":\"done\","
-          "\"cursor\":\"bogus\"}")
-          .ok());
-  EXPECT_FALSE(
-      ParseFramedMineResult(
-          "{\"id\":1,\"ok\":true,\"type\":\"mine\",\"state\":\"done\","
-          "\"cursor\":7}")
-          .ok());
+  for (const std::string bad : {"\"bogus\"", "7"}) {
+    std::string mutant = frame;  // complete but for the cursor
+    mutant.replace(mutant.find("\"17:4\""), 6, bad);
+    EXPECT_EQ(ParseFramedMineResult(mutant).status().code(),
+              StatusCode::kInvalidArgument)
+        << mutant;
+  }
 }
 
 TEST(ProtocolText, CursorTextParser) {

@@ -51,7 +51,7 @@ Bodies Canon(Bodies bodies) {
 struct StreamedExchange {
   Bodies bodies;
   uint64_t chunks = 0;
-  ParsedMineResult verdict;
+  JobSummary verdict;
 };
 
 /// Runs one framed mine line through a fresh cursor in `session`'s
@@ -101,7 +101,7 @@ StreamedExchange RunStreamedMine(ServiceSession& session,
   EXPECT_TRUE(saw_last) << "stream never terminated with a last chunk";
   EXPECT_TRUE(saw_verdict) << "stream never delivered the final verdict";
   // The verdict's bodies count is the reassembly contract.
-  EXPECT_EQ(exchange.bodies.size(), exchange.verdict.bodies);
+  EXPECT_EQ(exchange.verdict.bodies, exchange.bodies.size());
   return exchange;
 }
 
@@ -230,7 +230,7 @@ TEST(ResultStream, CursorPaginationLosesAndDuplicatesNothing) {
     ++pages;
     reassembled.insert(reassembled.end(), page.bodies.begin(),
                        page.bodies.end());
-    if (!page.verdict.has_cursor) {
+    if (!page.verdict.cursor) {
       EXPECT_FALSE(page.verdict.stopped_early);
       break;
     }
@@ -239,8 +239,8 @@ TEST(ResultStream, CursorPaginationLosesAndDuplicatesNothing) {
     EXPECT_TRUE(page.verdict.stopped_early);
     EXPECT_TRUE(harness.session.ExecuteLine(
         "{\"id\":8,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":1,\"q\":4}"));
-    cursor = FormatCursorValue(page.verdict.cursor_seed,
-                               page.verdict.cursor_ordinal);
+    cursor = FormatCursorValue(page.verdict.cursor->seed,
+                               page.verdict.cursor->ordinal);
   }
   // Exact reassembly: same bodies, same order, no loss, no duplicates.
   EXPECT_EQ(reassembled, oracle);

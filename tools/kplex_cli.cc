@@ -1012,10 +1012,11 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
     if (*type == "mine") {
       auto verdict = ParseFramedMineResult(*line);
       if (!verdict.ok()) return Fail(verdict.status());
-      if (query->collect_bodies && verdict->bodies != streamed) {
+      const uint64_t bodies = verdict->bodies.value_or(0);
+      if (query->collect_bodies && bodies != streamed) {
         std::fprintf(stderr, "stream truncated: server buffered %llu "
                              "bodies but %llu arrived\n",
-                     static_cast<unsigned long long>(verdict->bodies),
+                     static_cast<unsigned long long>(bodies),
                      static_cast<unsigned long long>(streamed));
         return 1;
       }
@@ -1028,10 +1029,10 @@ int RunRemoteQuery(const FlagParser& flags, const std::string& endpoint) {
                   verdict->seconds, verdict->cached ? " [cached]" : "",
                   verdict->timed_out ? " [time limit hit]" : "",
                   verdict->stopped_early ? " [result cap hit]" : "");
-      if (verdict->has_cursor) {
+      if (verdict->cursor) {
         std::printf(" [cursor %s]",
-                    FormatCursorValue(verdict->cursor_seed,
-                                      verdict->cursor_ordinal).c_str());
+                    FormatCursorValue(verdict->cursor->seed,
+                                      verdict->cursor->ordinal).c_str());
       }
       std::printf("\n");
       return verdict->state == "done" ? 0 : 1;

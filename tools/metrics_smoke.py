@@ -135,9 +135,22 @@ class FakeWorker(threading.Thread):
                 request = json.loads(line)
                 if request.get("cmd") != "mineshard":
                     return  # the lane's first shardsubmit: drop it
+                # Every key a real worker writes for the empty-range
+                # probe: the coordinator's decoder refuses a frame
+                # missing one.
                 file.write(json.dumps({
                     "id": request.get("id", 1), "ok": True,
-                    "type": "shard_result", "state": "done",
+                    "type": "shard_result", "job": 1,
+                    "query": {"graph": request["graph"], "k": request["k"],
+                              "q": request["q"], "algo": "ours",
+                              "seed_begin": 0, "seed_end": 0},
+                    "state": "done", "started": True, "plexes": 0,
+                    "max_size": 0, "fingerprint": "0x0000000000000000",
+                    "seconds": 0, "compute_seconds": 0, "cached": False,
+                    "precomputed": False, "timed_out": False,
+                    "stopped_early": False, "cancelled": False,
+                    "fingerprint_xor": "0x0000000000000000",
+                    "total_seeds": 0,
                     "content_hash": self.content_hash}) + "\n")
             file.flush()
 
