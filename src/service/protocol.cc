@@ -505,8 +505,8 @@ class JsonParser {
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   StatusOr<JsonValue> Parse() {
-    auto value = ParseValue(0);
-    if (!value.ok()) return value.status();
+    JsonValue value;
+    KPLEX_RETURN_IF_ERROR(ParseValue(0, value));
     SkipSpace();
     if (pos_ != text_.size()) {
       return Error("trailing bytes after the JSON value");
@@ -539,85 +539,87 @@ class JsonParser {
     return false;
   }
 
-  StatusOr<JsonValue> ParseValue(int depth) {
+  // Each Parse* fills `value` in place, so a value is built once, in
+  // the tree.
+  Status ParseValue(int depth, JsonValue& value) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(depth);
-    if (c == '[') return ParseArray(depth);
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f' || c == 'n') return ParseLiteral();
+    if (c == '{') return ParseObject(depth, value);
+    if (c == '[') return ParseArray(depth, value);
+    if (c == '"') {
+      value.kind = JsonValue::Kind::kString;
+      return ParseString(value.string_value);
+    }
+    if (c == 't' || c == 'f' || c == 'n') return ParseLiteral(value);
     if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return ParseNumber();
+      return ParseNumber(value);
     }
     return Error(std::string("unexpected character '") + c + "'");
   }
 
-  StatusOr<JsonValue> ParseObject(int depth) {
+  Status ParseObject(int depth, JsonValue& value) {
     ++pos_;  // '{'
-    JsonValue value;
     value.kind = JsonValue::Kind::kObject;
     SkipSpace();
-    if (Consume('}')) return value;
+    if (Consume('}')) return Status::Ok();
     for (;;) {
       SkipSpace();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Error("expected a string key");
       }
-      auto key = ParseString();
-      if (!key.ok()) return key.status();
+      auto& [key, element] = value.object.emplace_back();
+      KPLEX_RETURN_IF_ERROR(ParseString(key));
       if (!Consume(':')) return Error("expected ':' after key");
-      auto element = ParseValue(depth + 1);
-      if (!element.ok()) return element.status();
-      value.object.emplace_back(key->string_value, *std::move(element));
+      KPLEX_RETURN_IF_ERROR(ParseValue(depth + 1, element));
       if (Consume(',')) continue;
-      if (Consume('}')) return value;
+      if (Consume('}')) return Status::Ok();
       return Error("expected ',' or '}' in object");
     }
   }
 
-  StatusOr<JsonValue> ParseArray(int depth) {
+  Status ParseArray(int depth, JsonValue& value) {
     ++pos_;  // '['
-    JsonValue value;
     value.kind = JsonValue::Kind::kArray;
     SkipSpace();
-    if (Consume(']')) return value;
+    if (Consume(']')) return Status::Ok();
     for (;;) {
-      auto element = ParseValue(depth + 1);
-      if (!element.ok()) return element.status();
-      value.array.push_back(*std::move(element));
+      KPLEX_RETURN_IF_ERROR(ParseValue(depth + 1, value.array.emplace_back()));
       if (Consume(',')) continue;
-      if (Consume(']')) return value;
+      if (Consume(']')) return Status::Ok();
       return Error("expected ',' or ']' in array");
     }
   }
 
-  StatusOr<JsonValue> ParseString() {
+  /// A string at pos_ (its opening quote) into `out`.
+  Status ParseString(std::string& out) {
     ++pos_;  // '"'
-    JsonValue value;
-    value.kind = JsonValue::Kind::kString;
     while (pos_ < text_.size()) {
+      // Append the run of plain bytes up to the next quote, escape or
+      // control byte at once.
+      const std::size_t start = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_, start, pos_ - start);
+      if (pos_ == text_.size()) break;
       const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("raw control byte in string");
-      }
-      if (c != '\\') {
-        value.string_value += c;
-        continue;
-      }
+      if (c == '"') return Status::Ok();
+      if (c != '\\') return Error("raw control byte in string");
       if (pos_ >= text_.size()) break;
       const char escape = text_[pos_++];
       switch (escape) {
-        case '"': value.string_value += '"'; break;
-        case '\\': value.string_value += '\\'; break;
-        case '/': value.string_value += '/'; break;
-        case 'n': value.string_value += '\n'; break;
-        case 'r': value.string_value += '\r'; break;
-        case 't': value.string_value += '\t'; break;
-        case 'b': value.string_value += '\b'; break;
-        case 'f': value.string_value += '\f'; break;
+        case '"': out += '"'; break;
+        case '\\': out += '\\'; break;
+        case '/': out += '/'; break;
+        case 'n': out += '\n'; break;
+        case 'r': out += '\r'; break;
+        case 't': out += '\t'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
           unsigned code = 0;
@@ -631,15 +633,14 @@ class JsonParser {
           // BMP code points only (no surrogate-pair recombination);
           // enough for the protocol's field values.
           if (code < 0x80) {
-            value.string_value += static_cast<char>(code);
+            out += static_cast<char>(code);
           } else if (code < 0x800) {
-            value.string_value += static_cast<char>(0xC0 | (code >> 6));
-            value.string_value += static_cast<char>(0x80 | (code & 0x3F));
+            out += static_cast<char>(0xC0 | (code >> 6));
+            out += static_cast<char>(0x80 | (code & 0x3F));
           } else {
-            value.string_value += static_cast<char>(0xE0 | (code >> 12));
-            value.string_value +=
-                static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            value.string_value += static_cast<char>(0x80 | (code & 0x3F));
+            out += static_cast<char>(0xE0 | (code >> 12));
+            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+            out += static_cast<char>(0x80 | (code & 0x3F));
           }
           break;
         }
@@ -651,20 +652,19 @@ class JsonParser {
   }
 
   /// true / false / null.
-  StatusOr<JsonValue> ParseLiteral() {
+  Status ParseLiteral(JsonValue& value) {
     for (std::string_view word : {"true", "false", "null"}) {
       if (text_.compare(pos_, word.size(), word) != 0) continue;
       pos_ += word.size();
-      JsonValue value;
       value.kind = word == "null" ? JsonValue::Kind::kNull
                                   : JsonValue::Kind::kBool;
       value.bool_value = word == "true";
-      return value;
+      return Status::Ok();
     }
     return Error(text_[pos_] == 'n' ? "expected null" : "expected true/false");
   }
 
-  StatusOr<JsonValue> ParseNumber() {
+  Status ParseNumber(JsonValue& value) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     bool fractional = false;
@@ -680,14 +680,13 @@ class JsonParser {
       }
     }
     const std::string token = text_.substr(start, pos_ - start);
-    JsonValue value;
     // Integers that overflow uint64 fall through to the double path.
     if (!fractional && token[0] != '-' &&
         std::from_chars(token.data(), token.data() + token.size(),
                         value.uint_value)
                 .ec == std::errc()) {
       value.kind = JsonValue::Kind::kUint;
-      return value;
+      return Status::Ok();
     }
     try {
       std::size_t used = 0;
@@ -697,7 +696,7 @@ class JsonParser {
       return Error("malformed number '" + token + "'");
     }
     value.kind = JsonValue::Kind::kDouble;
-    return value;
+    return Status::Ok();
   }
 
   const std::string& text_;

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -1544,6 +1546,146 @@ TEST(ProtocolFramed, PlanArraysMustHoldOneEntryPerSeed) {
   response.payload = plan;
   EXPECT_EQ(ParseFramedPlan(FormatFramedResponse(response)).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------------ mutation fuzz
+// Deterministic mutants of every wire golden, fed to every parser of
+// untrusted protocol bytes: each must come back as a Status, never a
+// crash, and a refusal is INVALID_ARGUMENT or the error code the frame
+// itself carries. Each family feeds a mutant once, however many seeds
+// produce it.
+
+/// The request goldens on both wires.
+std::vector<std::string> RequestSeeds() {
+  std::vector<std::string> seeds;
+  for (const auto& [text, framed] : WireGoldens()) {
+    seeds.push_back(text);
+    seeds.push_back(framed);
+  }
+  return seeds;
+}
+
+/// Every request and response golden.
+std::vector<std::string> FuzzSeeds() {
+  std::vector<std::string> seeds = RequestSeeds();
+  seeds.insert(seeds.end(), ResponseWireGoldens().begin(),
+               ResponseWireGoldens().end());
+  return seeds;
+}
+
+/// True when `mutant` names `code` in a "code" member.
+bool NamesCode(const std::string& mutant, StatusCode code) {
+  for (std::size_t at = mutant.find("\"code\""); at != std::string::npos;
+       at = mutant.find("\"code\"", at + 1)) {
+    std::size_t begin = mutant.find_first_not_of(" \t\r\n:", at + 6);
+    if (begin == std::string::npos || mutant[begin] != '"') continue;
+    const std::size_t end = mutant.find('"', ++begin);
+    if (end != std::string::npos &&
+        StatusCodeFromName(mutant.substr(begin, end - begin)) == code) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void FeedEveryParser(const std::set<std::string>& mutants) {
+  for (const std::string& mutant : mutants) {
+    auto expect_structured = [&mutant](const Status& status) {
+      if (status.ok() || status.code() == StatusCode::kInvalidArgument ||
+          NamesCode(mutant, status.code())) {
+        return;
+      }
+      ADD_FAILURE() << status.ToString() << " from: " << mutant;
+    };
+    expect_structured(ParseTextRequest(mutant).status());
+    expect_structured(ParseFramedRequest(mutant).status());
+    expect_structured(PeekFramedResponseType(mutant).status());
+    expect_structured(ParseFramedHello(mutant).status());
+    expect_structured(ParseFramedMineResult(mutant).status());
+    expect_structured(ParseFramedShardResult(mutant).status());
+    expect_structured(ParseFramedPlan(mutant).status());
+    expect_structured(ParseFramedShardSubmit(mutant).status());
+    expect_structured(ParseFramedShardStop(mutant).status());
+    expect_structured(ParseFramedWorkerAck(mutant).status());
+    expect_structured(ParseFramedResultChunk(mutant).status());
+  }
+}
+
+/// Every prefix of every seed.
+std::set<std::string> Truncations(const std::vector<std::string>& seeds) {
+  std::set<std::string> mutants;
+  for (const std::string& seed : seeds) {
+    for (std::size_t length = 0; length < seed.size(); ++length) {
+      mutants.insert(seed.substr(0, length));
+    }
+  }
+  return mutants;
+}
+
+TEST(ProtocolFuzz, TruncatedRequestsAtEveryByte) {
+  FeedEveryParser(Truncations(RequestSeeds()));
+}
+
+TEST(ProtocolFuzz, TruncatedResponsesAtEveryByte) {
+  // The help frame is one 3 KiB prose string: its cuts all end inside
+  // that string, and they would cost more than every other cut.
+  std::vector<std::string> seeds;
+  for (const std::string& golden : ResponseWireGoldens()) {
+    if (golden.find("\"type\":\"help\"") == std::string::npos) {
+      seeds.push_back(golden);
+    }
+  }
+  FeedEveryParser(Truncations(seeds));
+}
+
+TEST(ProtocolFuzz, ByteFlipsInsertsAndDeletes) {
+  std::mt19937_64 rng(0x6b706c6578);  // fixed: every run sees one set
+  std::set<std::string> mutants;
+  for (const std::string& seed : FuzzSeeds()) {
+    for (int round = 0; round < 24; ++round) {
+      std::string mutant = seed;
+      const std::size_t at = rng() % mutant.size();
+      switch (round % 3) {
+        case 0:
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 << (rng() % 8)));
+          break;
+        case 1:
+          mutant.insert(at, 1, static_cast<char>(rng() % 256));
+          break;
+        case 2:
+          mutant.erase(at, 1);
+          break;
+      }
+      mutants.insert(mutant);
+    }
+  }
+  FeedEveryParser(mutants);
+}
+
+TEST(ProtocolFuzz, ValueKindSwaps) {
+  // Number, string, bool, array, 2^64, negative, float.
+  const std::vector<std::string> values = {
+      "7", "\"x\"", "true", "[[1]]", "18446744073709551616", "-1", "0.5"};
+  std::set<std::string> mutants;
+  for (const std::string& seed : FuzzSeeds()) {
+    if (seed.empty() || seed[0] != '{') continue;  // the text wire
+    for (const Member& member : Members(seed)) {
+      for (const std::string& value : values) {
+        mutants.insert(WithValue(seed, member, value));
+      }
+      // Inside the nested query echo and error objects too.
+      const std::string nested = ValueOf(seed, member);
+      if (nested.empty() || nested[0] != '{') continue;
+      for (const Member& inner : Members(nested)) {
+        for (const std::string& value : values) {
+          mutants.insert(
+              WithValue(seed, member, WithValue(nested, inner, value)));
+        }
+      }
+    }
+  }
+  EXPECT_GT(mutants.size(), 3000u);
+  FeedEveryParser(mutants);
 }
 
 // -------------------------------------------- framed client-side decode
