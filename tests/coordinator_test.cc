@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -451,6 +452,60 @@ TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
       << *refused;
 
   daemon.Stop();
+}
+
+TEST(CoordSession, KeepsTheSharedWireLoopRules) {
+  // The line rules every endpoint shares, driven on the daemon's own
+  // session: text mode skips blank and '#' lines and closes silently on
+  // quit; framed mode answers a bad frame under its id, refuses a
+  // worker-only verb by name, and acknowledges quit with a bye frame.
+  auto coordinator = std::make_shared<Coordinator>();
+  const std::string refusal =
+      "'stats' is not a coordinator command; this endpoint schedules work "
+      "across workers (connect to a `serve --listen` worker for it)";
+  {
+    std::ostringstream out;
+    CoordSession session(out, coordinator);
+    EXPECT_TRUE(session.ExecuteLine(""));
+    EXPECT_TRUE(session.ExecuteLine("  \t"));
+    EXPECT_TRUE(session.ExecuteLine("# a comment"));
+    EXPECT_EQ(out.str(), "");
+    EXPECT_EQ(session.errors(), 0u);
+    EXPECT_TRUE(session.ExecuteLine("stats"));
+    EXPECT_EQ(out.str(), "error: INVALID_ARGUMENT: " + refusal + "\n");
+    EXPECT_EQ(session.errors(), 1u);
+    out.str("");
+    EXPECT_FALSE(session.ExecuteLine("quit"));
+    EXPECT_EQ(out.str(), "");
+  }
+  {
+    std::ostringstream out;
+    CoordSession session(out, coordinator);
+    EXPECT_TRUE(session.ExecuteLine("hello proto=6 mode=framed"));
+    EXPECT_EQ(session.mode(), WireMode::kFramed);
+    EXPECT_EQ(out.str(),
+              "{\"id\":0,\"ok\":true,\"type\":\"hello\",\"proto\":6,"
+              "\"mode\":\"framed\"}\n");
+    out.str("");
+    EXPECT_TRUE(session.ExecuteLine("   "));  // keep-alive
+    EXPECT_EQ(out.str(), "");
+    EXPECT_TRUE(session.ExecuteLine(
+        "{\"id\":7,\"cmd\":\"mine\",\"graph\":\"g\",\"k\":2,\"q\":5,"
+        "\"bogus\":1}"));
+    EXPECT_EQ(out.str().find("{\"id\":7,\"ok\":false,\"type\":\"error\","
+                             "\"code\":\"INVALID_ARGUMENT\""),
+              0u)
+        << out.str();
+    EXPECT_EQ(session.errors(), 1u);
+    out.str("");
+    EXPECT_TRUE(session.ExecuteLine("{\"id\":8,\"cmd\":\"stats\"}"));
+    EXPECT_EQ(out.str().find("{\"id\":8,\"ok\":false"), 0u) << out.str();
+    EXPECT_NE(out.str().find(refusal), std::string::npos) << out.str();
+    EXPECT_EQ(session.errors(), 2u);
+    out.str("");
+    EXPECT_FALSE(session.ExecuteLine("{\"id\":9,\"cmd\":\"quit\"}"));
+    EXPECT_EQ(out.str(), "{\"id\":9,\"ok\":true,\"type\":\"bye\"}\n");
+  }
 }
 
 }  // namespace

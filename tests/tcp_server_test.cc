@@ -258,35 +258,40 @@ TEST(TcpServer, ResetDuringSynchronousMineReleasesTheWorker) {
   // The worst abandonment shape: the session thread is *blocked* in a
   // synchronous mine (nobody recv's), and the client dies abruptly.
   // The per-connection watcher must spot the reset and cancel the
-  // mine's job so the single worker is freed for other clients.
-  Harness harness(/*workers=*/1);
-  ASSERT_TRUE(harness.api->catalog().RegisterGraph("big", SlowGraph()).ok());
-  ASSERT_TRUE(
-      harness.api->catalog().RegisterGraph("small", SmallGraph(7)).ok());
-  ASSERT_TRUE(harness.Start().ok());
+  // mine's job so the single worker is freed for other clients. A
+  // mineshard blocks the same way and must be released the same way.
+  for (const char* command : {"mine big 3 6", "mineshard big 3 6"}) {
+    SCOPED_TRACE(command);
+    Harness harness(/*workers=*/1);
+    ASSERT_TRUE(
+        harness.api->catalog().RegisterGraph("big", SlowGraph()).ok());
+    ASSERT_TRUE(
+        harness.api->catalog().RegisterGraph("small", SmallGraph(7)).ok());
+    ASSERT_TRUE(harness.Start().ok());
 
-  {
-    TestClient client(harness.server->port());
-    ASSERT_TRUE(client.connected());
-    ASSERT_TRUE(client.SendLine("mine big 3 6"));  // blocks server-side
-    ASSERT_TRUE(WaitForJobState(harness.api->dispatcher(), 1,
-                                JobState::kRunning));
-    client.AbortiveClose();
+    {
+      TestClient client(harness.server->port());
+      ASSERT_TRUE(client.connected());
+      ASSERT_TRUE(client.SendLine(command));  // blocks server-side
+      ASSERT_TRUE(WaitForJobState(harness.api->dispatcher(), 1,
+                                  JobState::kRunning));
+      client.AbortiveClose();
+    }
+    EXPECT_TRUE(WaitForJobState(harness.api->dispatcher(), 1,
+                                JobState::kCancelled))
+        << "reset did not cancel the in-flight synchronous command";
+
+    // And the lone worker is actually free again: a fresh query runs.
+    QueryRequest follow_up;
+    follow_up.graph = "small";
+    follow_up.k = 2;
+    follow_up.q = 5;
+    auto id = harness.api->dispatcher().Submit(follow_up);
+    ASSERT_TRUE(id.ok());
+    auto info = harness.api->dispatcher().Wait(*id);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->state, JobState::kDone);
   }
-  EXPECT_TRUE(WaitForJobState(harness.api->dispatcher(), 1,
-                              JobState::kCancelled))
-      << "reset did not cancel the in-flight synchronous mine";
-
-  // And the lone worker is actually free again: a fresh query runs.
-  QueryRequest follow_up;
-  follow_up.graph = "small";
-  follow_up.k = 2;
-  follow_up.q = 5;
-  auto id = harness.api->dispatcher().Submit(follow_up);
-  ASSERT_TRUE(id.ok());
-  auto info = harness.api->dispatcher().Wait(*id);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->state, JobState::kDone);
 }
 
 TEST(TcpServer, ConnectionsPastTheCapAreRefusedWithAStructuredError) {
