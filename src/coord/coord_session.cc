@@ -1,10 +1,8 @@
 #include "coord/coord_session.h"
 
-#include <algorithm>
 #include <utility>
 #include <variant>
 
-#include "obs/metrics.h"
 #include "service/dispatcher.h"
 
 namespace kplex {
@@ -55,74 +53,24 @@ ErrorResponse NotACoordinatorVerb(const char* verb) {
 
 CoordSession::CoordSession(std::ostream& out,
                            std::shared_ptr<Coordinator> coordinator)
-    : out_(out), coordinator_(std::move(coordinator)) {}
+    : WireSession(out), coordinator_(std::move(coordinator)) {}
 
-void CoordSession::Fail(const Status& status, uint64_t request_id) {
-  ++errors_;
-  if (mode_ == WireMode::kText) {
-    out_ << "error: " << status.ToString() << "\n";
-  } else {
-    Response response;
-    response.request_id = request_id;
-    response.payload = ErrorResponse{status};
-    out_ << FormatFramedResponse(response) << "\n";
-  }
-}
-
-bool CoordSession::ExecuteLine(const std::string& line) {
-  if (mode_ == WireMode::kText) {
-    if (IsBlankOrComment(line)) return true;
-    auto request = ParseTextRequest(line);
-    if (!request.ok()) {
-      Fail(request.status());
-      return true;
-    }
-    return Dispatch(*request);
-  }
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
-  uint64_t error_id = 0;
-  auto request = ParseFramedRequest(line, &error_id);
-  if (!request.ok()) {
-    Fail(request.status(), error_id);
-    return true;
-  }
-  return Dispatch(*request);
-}
-
-bool CoordSession::Dispatch(const Request& request) {
-  // Match the worker session's quit shape: silent close in text mode,
-  // a bye frame in framed mode.
-  if (std::holds_alternative<QuitRequest>(request.payload) &&
-      mode_ == WireMode::kText) {
-    return false;
-  }
+Response CoordSession::Execute(const Request& request) {
   Response response;
   response.request_id = request.id;
-  response.payload = Execute(request.payload);
-  if (std::holds_alternative<ErrorResponse>(response.payload)) ++errors_;
-  if (const auto* hello = std::get_if<HelloResponse>(&response.payload)) {
-    if (hello->mode.has_value()) mode_ = *hello->mode;
-  }
-  if (mode_ == WireMode::kText) {
-    FormatTextResponse(response, out_);
-  } else {
-    out_ << FormatFramedResponse(response) << "\n";
-  }
-  return !std::holds_alternative<ByeResponse>(response.payload);
+  response.payload = std::visit(
+      [this, &request](const auto& verb) -> ResponsePayload {
+        if constexpr (requires { AnswerSessionVerb(verb); }) {
+          return AnswerSessionVerb(verb);
+        } else {
+          return Schedule(request.payload);
+        }
+      },
+      request.payload);
+  return response;
 }
 
-ResponsePayload CoordSession::Execute(const RequestPayload& payload) {
-  if (const auto* hello = std::get_if<HelloRequest>(&payload)) {
-    if (hello->version == 0) {
-      return ErrorResponse{Status::InvalidArgument(
-          "unsupported protocol version 0 (this daemon speaks 1.." +
-          std::to_string(kProtocolVersion) + ")")};
-    }
-    HelloResponse response;
-    response.version = std::min(hello->version, kProtocolVersion);
-    response.mode = hello->mode;
-    return response;
-  }
+ResponsePayload CoordSession::Schedule(const RequestPayload& payload) {
   if (const auto* mine = std::get_if<MineRequest>(&payload)) {
     auto id = coordinator_->Submit(mine->query);
     if (!id.ok()) return ErrorResponse{id.status()};
@@ -150,16 +98,6 @@ ResponsePayload CoordSession::Execute(const RequestPayload& payload) {
       response.jobs.push_back(ToJobInfo(job));
     }
     return response;
-  }
-  if (const auto* metrics = std::get_if<MetricsRequest>(&payload)) {
-    if (!metrics->format.empty() && metrics->format != "table" &&
-        metrics->format != "prom") {
-      return ErrorResponse{Status::InvalidArgument(
-          "unknown metrics format '" + metrics->format +
-          "' (expected table or prom)")};
-    }
-    return MetricsResponse{metrics->format,
-                           MetricsRegistry::Global().Snapshot()};
   }
   if (const auto* join = std::get_if<RegisterRequest>(&payload)) {
     auto id = coordinator_->AddWorker(join->endpoint);
@@ -195,8 +133,6 @@ ResponsePayload CoordSession::Execute(const RequestPayload& payload) {
     }
     return response;
   }
-  if (std::holds_alternative<HelpRequest>(payload)) return HelpResponse{};
-  if (std::holds_alternative<QuitRequest>(payload)) return ByeResponse{};
   return NotACoordinatorVerb(RequestVerbName(payload));
 }
 

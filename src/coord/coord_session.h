@@ -15,7 +15,11 @@
 //   drain ID          graceful worker leave
 //   workers           the worker roster
 //   metrics [FMT]     the daemon's metrics registry
-//   hello/help/quit   as on a worker
+//   hello/help/quit   as on a worker (AnswerSessionVerb)
+//
+// The line loop — text/framed parsing, error answers, quit and the
+// hello mode switch — is WireSession's (service/wire_session.h); this
+// class supplies only what each verb means to the daemon.
 //
 // Everything else (load, mineshard, plan, cancel, stats, ...) is
 // refused with a structured InvalidArgument naming the daemon — a
@@ -23,14 +27,14 @@
 //
 // Disconnects do NOT cancel coordinated jobs: a job spans every
 // worker, other clients may be waiting on it, and a submitter that
-// reconnects can `wait` for it — so CancelOutstandingJobs is a no-op.
+// reconnects can `wait` for it — so CancelOutstandingJobs keeps
+// WireSession's no-op.
 
 #ifndef KPLEX_COORD_COORD_SESSION_H_
 #define KPLEX_COORD_COORD_SESSION_H_
 
 #include <memory>
 #include <ostream>
-#include <string>
 
 #include "coord/coordinator.h"
 #include "service/protocol.h"
@@ -42,21 +46,12 @@ class CoordSession : public WireSession {
  public:
   CoordSession(std::ostream& out, std::shared_ptr<Coordinator> coordinator);
 
-  bool ExecuteLine(const std::string& line) override;
-  WireMode mode() const override { return mode_; }
-  void CancelOutstandingJobs() override {}
-
-  uint64_t errors() const { return errors_; }
-
  private:
-  bool Dispatch(const Request& request);
-  ResponsePayload Execute(const RequestPayload& payload);
-  void Fail(const Status& status, uint64_t request_id = 0);
+  Response Execute(const Request& request) override;
+  /// The daemon verbs; everything else is refused by name.
+  ResponsePayload Schedule(const RequestPayload& payload);
 
-  std::ostream& out_;
   std::shared_ptr<Coordinator> coordinator_;
-  WireMode mode_ = WireMode::kText;
-  uint64_t errors_ = 0;
 };
 
 }  // namespace kplex

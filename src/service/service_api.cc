@@ -1,12 +1,12 @@
 #include "service/service_api.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
 
 #include "core/seed_plan.h"
 #include "obs/metrics.h"
+#include "service/wire_session.h"
 #include "util/timer.h"
 
 namespace kplex {
@@ -41,7 +41,8 @@ void SanitizeJob(JobInfo& job) {
 
 }  // namespace
 
-Response ServiceApi::Execute(const Request& request) {
+Response ServiceApi::Execute(const Request& request,
+                             const JobRecorder& record_job) {
   // Execute is the one chokepoint every front end funnels through, so
   // the per-verb request counters and latency histograms live here —
   // stdin sessions, TCP connections, and shard workers all count.
@@ -56,7 +57,15 @@ Response ServiceApi::Execute(const Request& request) {
   Response response;
   response.request_id = request.id;
   response.payload = std::visit(
-      [this](const auto& payload) { return Handle(payload); },
+      [this, &record_job](const auto& payload) -> ResponsePayload {
+        if constexpr (requires { AnswerSessionVerb(payload); }) {
+          return AnswerSessionVerb(payload);
+        } else if constexpr (requires { Handle(payload, record_job); }) {
+          return Handle(payload, record_job);
+        } else {
+          return Handle(payload);
+        }
+      },
       request.payload);
   verb_latency.Observe(timer.ElapsedSeconds());
   if (std::holds_alternative<ErrorResponse>(response.payload)) {
@@ -88,18 +97,6 @@ void ServiceApi::CancelAllJobs() {
       (void)dispatcher_->Cancel(info.id);  // lost races are fine
     }
   }
-}
-
-ResponsePayload ServiceApi::Handle(const HelloRequest& hello) {
-  if (hello.version == 0) {
-    return ErrorResponse{Status::InvalidArgument(
-        "unsupported protocol version 0 (this server speaks 1.." +
-        std::to_string(kProtocolVersion) + ")")};
-  }
-  HelloResponse response;
-  response.version = std::min(hello.version, kProtocolVersion);
-  response.mode = hello.mode;
-  return response;
 }
 
 ResponsePayload ServiceApi::Handle(const LoadRequest& load) {
@@ -153,11 +150,20 @@ ResponsePayload ServiceApi::Handle(const SnapshotRequest& snapshot) {
   return response;
 }
 
-ResponsePayload ServiceApi::Handle(const MineRequest& mine) {
+StatusOr<uint64_t> ServiceApi::SubmitJob(const QueryRequest& query,
+                                         const JobRecorder& record_job) {
+  auto id = dispatcher_->Submit(query);
+  if (id.ok() && record_job) record_job(*id);
+  return id;
+}
+
+ResponsePayload ServiceApi::Handle(const MineRequest& mine,
+                                   const JobRecorder& record_job) {
   // Synchronous mine is submit-and-wait on the shared dispatcher: one
   // execution path for every query, and byte-identical output to the
-  // historical serial session.
-  auto id = dispatcher_->Submit(mine.query);
+  // historical serial session. The job is recorded before the wait, so
+  // a session's disconnect watcher can cancel it mid-run.
+  auto id = SubmitJob(mine.query, record_job);
   if (!id.ok()) return ErrorResponse{id.status()};
   auto info = dispatcher_->Wait(*id);
   if (!info.ok()) return ErrorResponse{info.status()};
@@ -165,33 +171,34 @@ ResponsePayload ServiceApi::Handle(const MineRequest& mine) {
 }
 
 StatusOr<ServiceApi::ShardSubmission> ServiceApi::SubmitShard(
-    const MineShardRequest& shard) {
+    const QueryRequest& query, uint64_t expected_hash,
+    const JobRecorder& record_job) {
   // Shard admission: before any work, prove this worker holds the same
   // graph bytes the coordinator planned against. The error carries both
   // hashes so a mismatched-snapshot refusal is diagnosable from logs.
-  auto hash = catalog_.ContentHash(shard.query.graph);
+  auto hash = catalog_.ContentHash(query.graph);
   if (!hash.ok()) return hash.status();
-  if (shard.expected_hash != 0 && *hash != shard.expected_hash) {
+  if (expected_hash != 0 && *hash != expected_hash) {
     char expected[24], actual[24];
     std::snprintf(expected, sizeof(expected), "0x%016llx",
-                  static_cast<unsigned long long>(shard.expected_hash));
+                  static_cast<unsigned long long>(expected_hash));
     std::snprintf(actual, sizeof(actual), "0x%016llx",
                   static_cast<unsigned long long>(*hash));
     return Status::FailedPrecondition(
-        "graph content hash mismatch for '" + shard.query.graph +
+        "graph content hash mismatch for '" + query.graph +
         "': coordinator expected " + expected + ", this worker has " +
         std::string(actual) + " (mismatched snapshot?)");
   }
-  // Same execution path as a synchronous mine: submit (+ wait in the
-  // caller) on the shared dispatcher, so shard jobs are cancellable and
-  // visible in `jobs` like any other work.
-  auto id = dispatcher_->Submit(shard.query);
+  // Same execution path as a synchronous mine, so shard jobs are
+  // cancellable and visible in `jobs` like any other work.
+  auto id = SubmitJob(query, record_job);
   if (!id.ok()) return id.status();
   return ShardSubmission{*id, *hash};
 }
 
-ResponsePayload ServiceApi::Handle(const MineShardRequest& shard) {
-  auto submitted = SubmitShard(shard);
+ResponsePayload ServiceApi::Handle(const MineShardRequest& shard,
+                                   const JobRecorder& record_job) {
+  auto submitted = SubmitShard(shard.query, shard.expected_hash, record_job);
   if (!submitted.ok()) return ErrorResponse{submitted.status()};
   auto info = dispatcher_->Wait(submitted->job);
   if (!info.ok()) return ErrorResponse{info.status()};
@@ -233,9 +240,9 @@ ResponsePayload ServiceApi::Handle(const PlanRequest& plan) {
   return response;
 }
 
-ResponsePayload ServiceApi::Handle(const ShardSubmitRequest& shard) {
-  auto submitted =
-      SubmitShard(MineShardRequest{shard.query, shard.expected_hash});
+ResponsePayload ServiceApi::Handle(const ShardSubmitRequest& shard,
+                                   const JobRecorder& record_job) {
+  auto submitted = SubmitShard(shard.query, shard.expected_hash, record_job);
   if (!submitted.ok()) return ErrorResponse{submitted.status()};
   return ShardSubmitResponse{submitted->job, submitted->content_hash};
 }
@@ -283,8 +290,9 @@ ResponsePayload ServiceApi::Handle(const WorkersRequest&) {
   return CoordinatorOnlyVerb("workers");
 }
 
-ResponsePayload ServiceApi::Handle(const SubmitRequest& submit) {
-  auto id = dispatcher_->Submit(submit.query);
+ResponsePayload ServiceApi::Handle(const SubmitRequest& submit,
+                                   const JobRecorder& record_job) {
+  auto id = SubmitJob(submit.query, record_job);
   if (!id.ok()) return ErrorResponse{id.status()};
   SubmitResponse response;
   response.job = *id;
@@ -364,29 +372,10 @@ ResponsePayload ServiceApi::Handle(const StoreRequest& store) {
   return response;
 }
 
-ResponsePayload ServiceApi::Handle(const MetricsRequest& metrics) {
-  if (!metrics.format.empty() && metrics.format != "table" &&
-      metrics.format != "prom") {
-    return ErrorResponse{Status::InvalidArgument(
-        "unknown metrics format '" + metrics.format +
-        "' (expected table or prom)")};
-  }
-  return MetricsResponse{metrics.format,
-                         MetricsRegistry::Global().Snapshot()};
-}
-
 ResponsePayload ServiceApi::Handle(const EvictRequest& evict) {
   Status evicted = catalog_.Evict(evict.name);
   if (!evicted.ok()) return ErrorResponse{evicted};
   return EvictResponse{evict.name};
-}
-
-ResponsePayload ServiceApi::Handle(const HelpRequest&) {
-  return HelpResponse{};
-}
-
-ResponsePayload ServiceApi::Handle(const QuitRequest&) {
-  return ByeResponse{};
 }
 
 }  // namespace kplex

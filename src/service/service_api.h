@@ -2,11 +2,18 @@
 // owns the long-lived service state — a GraphCatalog, a QueryEngine,
 // and a ServiceDispatcher — and executes typed protocol requests
 // (service/protocol.h) against it, returning typed responses. Every
-// front end is a thin adapter over this class: ServiceSession parses
-// the text/framed wire into Requests and formats the Responses back;
-// the TCP server runs one such adapter per connection over a *shared*
-// ServiceApi, which is what makes graphs, cached results, and the job
-// queue visible to every client of one serve process.
+// front end is a thin adapter over this class: ServiceSession runs the
+// shared wire loop (service/wire_session.h) and hands each parsed
+// Request here; the TCP server runs one such session per connection
+// over a *shared* ServiceApi, which is what makes graphs, cached
+// results, and the job queue visible to every client of one serve
+// process.
+//
+// Every verb has exactly one handler. A synchronous `mine` or
+// `mineshard` is submit + wait inside its handler; a caller that must
+// be able to cancel the job while this call blocks (a session whose
+// client may vanish) passes a JobRecorder, which sees each dispatcher
+// job id a request creates before anything waits on it.
 //
 // Error contract: Execute never throws and never returns free-form
 // text. Failures come back as ErrorResponse carrying a structured
@@ -22,6 +29,7 @@
 #define KPLEX_SERVICE_SERVICE_API_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -56,25 +64,18 @@ class ServiceApi {
   ServiceApi(const ServiceApi&) = delete;
   ServiceApi& operator=(const ServiceApi&) = delete;
 
+  /// Called with each dispatcher job id a request creates (mine,
+  /// submit, mineshard, shardsubmit), before any wait on it.
+  using JobRecorder = std::function<void(uint64_t job)>;
+
   /// Executes one typed request. The response mirrors the request id;
   /// failures come back as ErrorResponse (sanitized Status), never an
   /// exception.
-  Response Execute(const Request& request);
+  Response Execute(const Request& request,
+                   const JobRecorder& record_job = {});
 
   /// Cancels every queued/running dispatcher job (server shutdown).
   void CancelAllJobs();
-
-  /// Shard admission + submission: verifies the coordinator's expected
-  /// content hash against this worker's graph (FAILED_PRECONDITION with
-  /// both hashes on a mismatched snapshot) and enqueues the shard's
-  /// query. Used by the MineShardRequest handler and by ServiceSession,
-  /// which must record the job id *before* blocking in Wait so a
-  /// dropped coordinator connection can cancel the running shard.
-  struct ShardSubmission {
-    uint64_t job = 0;
-    uint64_t content_hash = 0;  ///< this worker's hash of the graph
-  };
-  StatusOr<ShardSubmission> SubmitShard(const MineShardRequest& shard);
 
   GraphCatalog& catalog() { return catalog_; }
   QueryEngine& engine() { return engine_; }
@@ -90,15 +91,18 @@ class ServiceApi {
   const Status& store_status() const { return store_status_; }
 
  private:
-  ResponsePayload Handle(const HelloRequest& hello);
   ResponsePayload Handle(const LoadRequest& load);
   ResponsePayload Handle(const DatasetRequest& dataset);
   ResponsePayload Handle(const SnapshotRequest& snapshot);
-  ResponsePayload Handle(const MineRequest& mine);
-  ResponsePayload Handle(const SubmitRequest& submit);
-  ResponsePayload Handle(const MineShardRequest& shard);
+  ResponsePayload Handle(const MineRequest& mine,
+                         const JobRecorder& record_job);
+  ResponsePayload Handle(const SubmitRequest& submit,
+                         const JobRecorder& record_job);
+  ResponsePayload Handle(const MineShardRequest& shard,
+                         const JobRecorder& record_job);
   ResponsePayload Handle(const PlanRequest& plan);
-  ResponsePayload Handle(const ShardSubmitRequest& shard);
+  ResponsePayload Handle(const ShardSubmitRequest& shard,
+                         const JobRecorder& record_job);
   ResponsePayload Handle(const ShardWaitRequest& wait);
   ResponsePayload Handle(const ShardStopRequest& stop);
   ResponsePayload Handle(const RegisterRequest&);
@@ -109,11 +113,23 @@ class ServiceApi {
   ResponsePayload Handle(const JobsRequest&);
   ResponsePayload Handle(const WaitRequest& wait);
   ResponsePayload Handle(const StatsRequest&);
-  ResponsePayload Handle(const MetricsRequest& metrics);
   ResponsePayload Handle(const EvictRequest& evict);
   ResponsePayload Handle(const StoreRequest& store);
-  ResponsePayload Handle(const HelpRequest&);
-  ResponsePayload Handle(const QuitRequest&);
+
+  /// Shard admission + submission: verifies the coordinator's expected
+  /// content hash against this worker's graph (FAILED_PRECONDITION with
+  /// both hashes on a mismatched snapshot), enqueues the shard's query,
+  /// and records the job.
+  struct ShardSubmission {
+    uint64_t job = 0;
+    uint64_t content_hash = 0;  ///< this worker's hash of the graph
+  };
+  StatusOr<ShardSubmission> SubmitShard(const QueryRequest& query,
+                                        uint64_t expected_hash,
+                                        const JobRecorder& record_job);
+  /// Submits one query and records its job id.
+  StatusOr<uint64_t> SubmitJob(const QueryRequest& query,
+                               const JobRecorder& record_job);
 
   /// The stats/store view of store_ (enabled=false when detached).
   StoreStatusInfo StoreInfo();

@@ -1,7 +1,6 @@
 #include "service/service_session.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -10,37 +9,6 @@
 namespace kplex {
 namespace {
 
-Histogram& SerializeSeconds() {
-  static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
-      "kplex_session_serialize_seconds");
-  return histogram;
-}
-
-// The session decomposes the logical mine/mineshard verbs into
-// submit + wait before they reach ServiceApi::Execute (the job id must
-// be visible to the disconnect watcher between the two). Execute's
-// per-verb accounting therefore only sees the transport verbs; the
-// logical verbs are counted here, at the decomposition point.
-Counter& MineRequestsTotal() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("kplex_requests_mine_total");
-  return counter;
-}
-Histogram& MineSeconds() {
-  static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
-      "kplex_request_mine_seconds");
-  return histogram;
-}
-Counter& MineShardRequestsTotal() {
-  static Counter& counter =
-      MetricsRegistry::Global().GetCounter("kplex_requests_mineshard_total");
-  return counter;
-}
-Histogram& MineShardSeconds() {
-  static Histogram& histogram = MetricsRegistry::Global().GetHistogram(
-      "kplex_request_mineshard_seconds");
-  return histogram;
-}
 Counter& StreamChunksTotal() {
   static Counter& counter =
       MetricsRegistry::Global().GetCounter("kplex_stream_chunks_total");
@@ -64,81 +32,17 @@ Histogram& StreamWriteSeconds() {
 
 }  // namespace
 
-ServiceSession::ServiceSession(std::ostream& out,
-                               ServiceSessionOptions options)
-    : out_(out), echo_(options.echo) {
-  ServiceApiOptions api_options;
-  api_options.memory_budget_bytes = options.memory_budget_bytes;
-  api_options.result_cache_capacity = options.result_cache_capacity;
-  api_options.workers = options.workers;
-  api_ = std::make_shared<ServiceApi>(api_options);
-}
+ServiceSession::ServiceSession(std::ostream& out, ServiceApiOptions options)
+    : ServiceSession(out, std::make_shared<ServiceApi>(std::move(options))) {}
 
 ServiceSession::ServiceSession(std::ostream& out,
                                std::shared_ptr<ServiceApi> api, bool echo)
-    : out_(out), echo_(echo), api_(std::move(api)) {}
+    : WireSession(out, echo), api_(std::move(api)) {}
 
-void ServiceSession::Fail(const Status& status, uint64_t request_id) {
-  ++errors_;
-  if (mode_ == WireMode::kText) {
-    out_ << "error: " << status.ToString() << "\n";
-  } else {
-    Response response;
-    response.request_id = request_id;
-    response.payload = ErrorResponse{status};
-    out_ << FormatFramedResponse(response) << "\n";
-  }
-}
-
-bool ServiceSession::ExecuteLine(const std::string& line) {
-  if (mode_ == WireMode::kText) {
-    if (IsBlankOrComment(line)) return true;
-    if (echo_) out_ << "> " << line << "\n";
-    auto request = ParseTextRequest(line);
-    if (!request.ok()) {
-      Fail(request.status());
-      return true;
-    }
-    return Dispatch(*request);
-  }
-  // Framed mode tolerates truly blank keep-alive lines only; '#' is
-  // not a comment marker here — every non-blank frame gets a
-  // correlated response, or request/response clients would hang.
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return true;
-  uint64_t error_id = 0;
-  auto request = ParseFramedRequest(line, &error_id);
-  if (!request.ok()) {
-    // A rejected frame still answers under the client's id when one
-    // was readable, so pipelining clients never orphan the failure.
-    Fail(request.status(), error_id);
-    return true;
-  }
-  return Dispatch(*request);
-}
-
-bool ServiceSession::Dispatch(const Request& request) {
-  // The historical text grammar ends the session on `quit` without
-  // printing anything; the framed wire acknowledges with a bye frame so
-  // clients can distinguish a clean close from a dropped connection.
-  if (std::holds_alternative<QuitRequest>(request.payload) &&
-      mode_ == WireMode::kText) {
-    return false;
-  }
-  Response response;
-  if (const auto* mine = std::get_if<MineRequest>(&request.payload)) {
-    response = ExecuteMine(request.id, *mine);
-  } else if (const auto* shard =
-                 std::get_if<MineShardRequest>(&request.payload)) {
-    response = ExecuteMineShard(request.id, *shard);
-  } else {
-    response = api_->Execute(request);
-  }
-  NoteResponse(response);
-  // A hello that switches the wire mode is answered in the *new* mode,
-  // so a framed client's very first read is already a JSON frame.
-  if (const auto* hello = std::get_if<HelloResponse>(&response.payload)) {
-    if (hello->mode.has_value()) mode_ = *hello->mode;
-  }
+Response ServiceSession::Execute(const Request& request) {
+  Response response = api_->Execute(
+      request, [this](uint64_t job) { RecordSubmittedJob(job); });
+  CountJobFailures(response);
   // Streamed delivery: a results=stream mine's plex bodies travel as
   // bounded result_chunk frames ahead of the final verdict frame.
   // Backpressure is the transport's: each chunk is a blocking write, so
@@ -152,14 +56,7 @@ bool ServiceSession::Dispatch(const Request& request) {
       }
     }
   }
-  WallTimer serialize_timer;
-  if (mode_ == WireMode::kText) {
-    FormatTextResponse(response, out_);
-  } else {
-    out_ << FormatFramedResponse(response) << "\n";
-  }
-  SerializeSeconds().Observe(serialize_timer.ElapsedSeconds());
-  return !std::holds_alternative<ByeResponse>(response.payload);
+  return response;
 }
 
 void ServiceSession::EmitResultChunks(uint64_t request_id,
@@ -188,71 +85,12 @@ void ServiceSession::EmitResultChunks(uint64_t request_id,
     Response response;
     response.request_id = request_id;
     response.payload = std::move(chunk);
-    std::size_t bytes = 0;
-    if (mode_ == WireMode::kText) {
-      std::ostringstream rendered;
-      FormatTextResponse(response, rendered);
-      bytes = rendered.str().size();
-      out_ << rendered.str();
-    } else {
-      const std::string line = FormatFramedResponse(response);
-      bytes = line.size() + 1;
-      out_ << line << "\n";
-    }
+    const std::size_t bytes = Write(response);
     StreamChunksTotal().Increment();
     StreamPlexesTotal().Increment(plex_count);
     StreamBytesTotal().Increment(bytes);
   } while (offset < plexes.size());
   StreamWriteSeconds().Observe(timer.ElapsedSeconds());
-}
-
-Response ServiceSession::ExecuteMine(uint64_t request_id,
-                                     const MineRequest& mine) {
-  MineRequestsTotal().Increment();
-  WallTimer timer;
-  Request submit;
-  submit.id = request_id;
-  submit.payload = SubmitRequest{mine.query};
-  Response submitted = api_->Execute(submit);
-  const auto* accepted = std::get_if<SubmitResponse>(&submitted.payload);
-  if (accepted == nullptr) return submitted;  // ErrorResponse (queue full)
-  RecordSubmittedJob(accepted->job);
-  Request wait;
-  wait.id = request_id;
-  wait.payload = WaitRequest{accepted->job};
-  Response waited = api_->Execute(wait);
-  if (auto* outcome = std::get_if<WaitResponse>(&waited.payload)) {
-    // Same terminal JobInfo, mine-shaped (no "job N: " prefix).
-    waited.payload = MineResponse{std::move(outcome->job)};
-  }
-  MineSeconds().Observe(timer.ElapsedSeconds());
-  return waited;
-}
-
-Response ServiceSession::ExecuteMineShard(uint64_t request_id,
-                                          const MineShardRequest& shard) {
-  MineShardRequestsTotal().Increment();
-  WallTimer timer;
-  Response response;
-  response.request_id = request_id;
-  auto submitted = api_->SubmitShard(shard);
-  if (!submitted.ok()) {
-    response.payload = ErrorResponse{SanitizeErrorStatus(submitted.status())};
-    return response;
-  }
-  // The job id is visible to the disconnect watcher before this thread
-  // blocks, exactly like a synchronous mine.
-  RecordSubmittedJob(submitted->job);
-  Request wait;
-  wait.id = request_id;
-  wait.payload = WaitRequest{submitted->job};
-  Response waited = api_->Execute(wait);
-  if (auto* outcome = std::get_if<WaitResponse>(&waited.payload)) {
-    waited.payload =
-        ShardResultResponse{std::move(outcome->job), submitted->content_hash};
-  }
-  MineShardSeconds().Observe(timer.ElapsedSeconds());
-  return waited;
 }
 
 void ServiceSession::RecordSubmittedJob(uint64_t id) {
@@ -266,22 +104,7 @@ void ServiceSession::RecordSubmittedJob(uint64_t id) {
   (void)api_->dispatcher().Cancel(id);
 }
 
-void ServiceSession::NoteResponse(const Response& response) {
-  if (std::holds_alternative<ErrorResponse>(response.payload)) {
-    ++errors_;
-    return;
-  }
-  if (const auto* submit = std::get_if<SubmitResponse>(&response.payload)) {
-    RecordSubmittedJob(submit->job);
-    return;
-  }
-  // A shardsubmit job belongs to this session the same way: a dropped
-  // coordinator lane must not leave its shard running unattended.
-  if (const auto* shard_submit =
-          std::get_if<ShardSubmitResponse>(&response.payload)) {
-    RecordSubmittedJob(shard_submit->job);
-    return;
-  }
+void ServiceSession::CountJobFailures(const Response& response) {
   const JobInfo* job = nullptr;
   if (const auto* mine = std::get_if<MineResponse>(&response.payload)) {
     job = &mine->job;
@@ -290,17 +113,17 @@ void ServiceSession::NoteResponse(const Response& response) {
     job = &shard->job;
   } else if (const auto* wait = std::get_if<WaitResponse>(&response.payload)) {
     job = &wait->job;
+  } else if (const auto* all =
+                 std::get_if<WaitAllResponse>(&response.payload)) {
+    for (uint64_t id : all->failed_jobs) CountFailedJob(id);
   }
-  if (job != nullptr && job->state == JobState::kFailed &&
-      counted_failed_jobs_.insert(job->id).second) {
-    ++errors_;
-    return;
+  if (job != nullptr && job->state == JobState::kFailed) {
+    CountFailedJob(job->id);
   }
-  if (const auto* all = std::get_if<WaitAllResponse>(&response.payload)) {
-    for (uint64_t id : all->failed_jobs) {
-      if (counted_failed_jobs_.insert(id).second) ++errors_;
-    }
-  }
+}
+
+void ServiceSession::CountFailedJob(uint64_t id) {
+  if (counted_failed_jobs_.insert(id).second) CountError();
 }
 
 uint64_t ServiceSession::RunScript(std::istream& in) {
@@ -313,15 +136,12 @@ uint64_t ServiceSession::RunScript(std::istream& in) {
   // still running here are cancelled by the dispatcher destructor, not
   // counted as failures.
   CountTerminalFailures();
-  return errors_;
+  return errors();
 }
 
 void ServiceSession::CountTerminalFailures() {
   for (const JobInfo& info : api_->dispatcher().Jobs()) {
-    if (info.state == JobState::kFailed &&
-        counted_failed_jobs_.insert(info.id).second) {
-      ++errors_;
-    }
+    if (info.state == JobState::kFailed) CountFailedJob(info.id);
   }
 }
 

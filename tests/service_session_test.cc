@@ -19,6 +19,7 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "graph/snapshot.h"
+#include "obs/metrics.h"
 #include "tests/test_util.h"
 #include "util/timer.h"
 
@@ -229,8 +230,38 @@ TEST(ServiceSession, ErrorsAreCountedAndSessionContinues) {
   EXPECT_EQ(session.errors(), 7u) << out.str();
 }
 
+TEST(ServiceSession, OneWireRequestMovesOnlyItsOwnVerbSeries) {
+  // A synchronous mine or mineshard is one request: it moves its own
+  // verb's counter and latency histogram, and not the submit or wait
+  // series, although it submits a job and waits for it.
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto count = [&registry](const std::string& verb) {
+    return registry.GetCounter("kplex_requests_" + verb + "_total").Value();
+  };
+  auto observed = [&registry](const std::string& verb) {
+    return registry.GetHistogram("kplex_request_" + verb + "_seconds")
+        .Count();
+  };
+  std::ostringstream out;
+  ServiceSession session(out);
+  ASSERT_TRUE(session.ExecuteLine("dataset kc karate"));
+  for (const std::string verb : {"mine", "mineshard"}) {
+    SCOPED_TRACE(verb);
+    const uint64_t own = count(verb);
+    const uint64_t own_seconds = observed(verb);
+    const uint64_t submits = count("submit");
+    const uint64_t waits = count("wait");
+    ASSERT_TRUE(session.ExecuteLine(verb + " kc 2 6"));
+    EXPECT_EQ(count(verb), own + 1);
+    EXPECT_EQ(observed(verb), own_seconds + 1);
+    EXPECT_EQ(count("submit"), submits);
+    EXPECT_EQ(count("wait"), waits);
+  }
+  EXPECT_EQ(session.errors(), 0u) << out.str();
+}
+
 TEST(ServiceSession, MemoryBudgetFlowsThroughToCatalog) {
-  ServiceSessionOptions options;
+  ServiceApiOptions options;
   options.memory_budget_bytes = 123456;
   std::ostringstream out;
   ServiceSession session(out, options);
@@ -253,7 +284,7 @@ TEST(ServiceSession, WorkersFourMatchesWorkersOneJobForJob) {
   script_text += "wait\njobs\nquit\n";
 
   auto run_session = [&](uint32_t workers) {
-    ServiceSessionOptions options;
+    ServiceApiOptions options;
     options.workers = workers;
     std::ostringstream out;
     ServiceSession session(out, options);
