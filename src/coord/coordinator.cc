@@ -208,6 +208,10 @@ struct Coordinator::JobRun {
   struct PendingChunk {
     uint32_t begin = 0;
     uint32_t end = 0;
+    /// False for the requeue of a yield that covered no seed: stealing
+    /// that chunk again at once could repeat forever with nothing
+    /// merged, so the lane that pops it runs it to the end.
+    bool stealable = true;
   };
   std::deque<PendingChunk> queue;
 
@@ -633,6 +637,7 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
       flight.worker_id = worker_id;
       flight.endpoint = endpoint;
       flight.started_nanos = WallTimer::NowNanos();
+      flight.steal_requested = !chunk.stealable;
       run->in_flight.emplace(ticket, flight);
       pool_.MarkBusy(worker_id);
 
@@ -729,6 +734,26 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         run->FailLocked(result.status());
         break;
       }
+      // Merges [chunk.begin, end) — a complete answer for that range.
+      auto merge = [&](uint32_t end, bool yielded) {
+        MergeableResult piece;
+        piece.count = result->plexes;
+        piece.xor_hash = result->fingerprint_xor;
+        piece.max_plex_size = static_cast<std::size_t>(result->max_size);
+        run->merged.Merge(piece);
+        run->covered.emplace_back(chunk.begin, end);
+        CoordChunkOutcome outcome;
+        outcome.begin = chunk.begin;
+        outcome.end = end;
+        outcome.endpoint = endpoint;
+        outcome.plexes = result->plexes;
+        outcome.seconds = result->seconds;
+        outcome.yielded = yielded;
+        run->outcomes.push_back(std::move(outcome));
+        ++run->chunk_count;
+        CoordChunksTotal().Increment();
+        pool_.NoteChunkDone(worker_id);
+      };
       if (result->yielded) {
         // A stolen chunk: the prefix [begin, covered_end) is complete
         // and merges; the tail goes back on the queue for the stealer.
@@ -746,34 +771,15 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
         const uint32_t split =
             static_cast<uint32_t>(result->covered_end);
         if (split > chunk.begin) {
-          MergeableResult piece;
-          piece.count = result->plexes;
-          piece.xor_hash = result->fingerprint_xor;
-          piece.max_plex_size = static_cast<std::size_t>(result->max_size);
-          run->merged.Merge(piece);
-          run->covered.emplace_back(chunk.begin, split);
-          CoordChunkOutcome outcome;
-          outcome.begin = chunk.begin;
-          outcome.end = split;
-          outcome.endpoint = endpoint;
-          outcome.plexes = result->plexes;
-          outcome.seconds = result->seconds;
-          outcome.yielded = true;
-          run->outcomes.push_back(std::move(outcome));
-          ++run->chunk_count;
+          merge(split, /*yielded=*/true);
           ++run->steals;
-          CoordChunksTotal().Increment();
           CoordStealsTotal().Increment();
-          pool_.NoteChunkDone(worker_id);
         }
         if (split < chunk.end) {
-          run->queue.push_back({split, chunk.end});
+          run->queue.push_back({split, chunk.end,
+                                /*stealable=*/split > chunk.begin});
         }
-        pool_.MarkIdle(worker_id);
-        run->cv.notify_all();
-        continue;
-      }
-      if (!result->IsComplete()) {
+      } else if (!result->IsComplete()) {
         std::string how = result->state;
         if (result->timed_out) how += ", time limit hit";
         if (result->stopped_early) how += ", result cap hit";
@@ -784,23 +790,9 @@ void Coordinator::LaneMain(const std::shared_ptr<JobRun>& run,
             std::to_string(chunk.end) + " on " + endpoint +
             " is not a complete answer (" + how + ")"));
         break;
+      } else {
+        merge(chunk.end, /*yielded=*/false);
       }
-      MergeableResult piece;
-      piece.count = result->plexes;
-      piece.xor_hash = result->fingerprint_xor;
-      piece.max_plex_size = static_cast<std::size_t>(result->max_size);
-      run->merged.Merge(piece);
-      run->covered.emplace_back(chunk.begin, chunk.end);
-      CoordChunkOutcome outcome;
-      outcome.begin = chunk.begin;
-      outcome.end = chunk.end;
-      outcome.endpoint = endpoint;
-      outcome.plexes = result->plexes;
-      outcome.seconds = result->seconds;
-      run->outcomes.push_back(std::move(outcome));
-      ++run->chunk_count;
-      CoordChunksTotal().Increment();
-      pool_.NoteChunkDone(worker_id);
       pool_.MarkIdle(worker_id);
       run->cv.notify_all();
       continue;

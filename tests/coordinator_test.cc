@@ -19,7 +19,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -388,6 +392,151 @@ TEST(Coordinator, OutOfRangeTimeoutsAreRefusedOnBothPaths) {
           << bad;
     }
   }
+}
+
+/// A scripted worker for the steal path. It plans a one-seed job,
+/// acknowledges every shardsubmit, and answers every shardstop with a
+/// yield that covered no seed — what a stop returns when it lands
+/// before the victim's first seed (its job still queued, or still
+/// reducing the graph). A shard nobody stops completes after `settle`
+/// with an empty answer. Several endpoints may share one state.
+struct StallingWorkers {
+  static constexpr uint64_t kHash = 0x5eed;
+  std::chrono::milliseconds settle{500};
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::map<uint64_t, QueryRequest> shards;  // by job id
+  std::set<uint64_t> stopped;
+  uint64_t submits = 0;
+  bool closing = false;
+
+  uint64_t Submits() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return submits;
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mutex);
+    closing = true;
+    cv.notify_all();
+  }
+};
+
+class StallingSession : public WireSession {
+ public:
+  StallingSession(std::ostream& out, std::shared_ptr<StallingWorkers> state)
+      : WireSession(out), state_(std::move(state)) {}
+
+ private:
+  Response Execute(const Request& request) override {
+    StallingWorkers& state = *state_;
+    Response response;
+    response.request_id = request.id;
+    std::unique_lock<std::mutex> lock(state.mutex);
+    if (const auto* hello = std::get_if<HelloRequest>(&request.payload)) {
+      response.payload = AnswerSessionVerb(*hello);
+    } else if (const auto* plan = std::get_if<PlanRequest>(&request.payload)) {
+      PlanResponse planned;
+      planned.graph = plan->graph;
+      planned.total_seeds = 1;
+      planned.content_hash = StallingWorkers::kHash;
+      planned.degrees = {1};
+      planned.coreness = {1};
+      response.payload = std::move(planned);
+    } else if (const auto* probe =
+                   std::get_if<MineShardRequest>(&request.payload)) {
+      response.payload = Result(probe->query, 0, /*yielded=*/false);
+    } else if (const auto* submit =
+                   std::get_if<ShardSubmitRequest>(&request.payload)) {
+      const uint64_t job = ++state.submits;
+      state.shards[job] = submit->query;
+      response.payload = ShardSubmitResponse{job, StallingWorkers::kHash};
+    } else if (const auto* stop =
+                   std::get_if<ShardStopRequest>(&request.payload)) {
+      state.stopped.insert(stop->job);
+      state.cv.notify_all();
+      response.payload = ShardStopResponse{stop->job};
+    } else if (const auto* wait =
+                   std::get_if<ShardWaitRequest>(&request.payload)) {
+      const bool yielded = state.cv.wait_for(lock, state.settle, [&] {
+        return state.closing || state.stopped.count(wait->job) > 0;
+      });
+      response.payload = Result(state.shards[wait->job], wait->job, yielded);
+    } else {
+      response.payload = ErrorResponse{Status::InvalidArgument("unscripted")};
+    }
+    return response;
+  }
+
+  static ShardResultResponse Result(const QueryRequest& query, uint64_t job,
+                                    bool yielded) {
+    JobInfo info;
+    info.id = job;
+    info.request = query;
+    info.state = JobState::kDone;
+    info.started = true;
+    info.result.total_seeds = 1;
+    info.result.yielded = yielded;
+    info.result.covered_begin = query.seed_begin;
+    info.result.covered_end = yielded ? query.seed_begin : query.seed_end;
+    return ShardResultResponse{std::move(info), StallingWorkers::kHash};
+  }
+
+  std::shared_ptr<StallingWorkers> state_;
+};
+
+TEST(Coordinator, ZeroCoverageYieldIsNotStolenAgain) {
+  // Two lanes, one chunk. The idle lane steals it, and the stop lands
+  // before the victim's first seed: nothing merges, and the whole chunk
+  // goes back on the queue. Were it stealable, the lane that did not
+  // pick it up would steal it again at once, forever. It runs to the
+  // end instead: one resubmit, then done.
+  auto state = std::make_shared<StallingWorkers>();
+  std::vector<std::unique_ptr<TcpServer>> servers;
+  CoordinatorOptions options;
+  options.chunks_per_worker = 1;
+  options.steal_min_seconds = 0;
+  Coordinator coordinator(options);
+  for (int i = 0; i < 2; ++i) {
+    servers.push_back(std::make_unique<TcpServer>(
+        [state](std::ostream& out) -> std::unique_ptr<WireSession> {
+          return std::make_unique<StallingSession>(out, state);
+        },
+        [state] { state->Close(); }, TcpServerOptions{}));
+    ASSERT_TRUE(servers.back()->Start().ok());
+    ASSERT_TRUE(coordinator
+                    .AddWorker("127.0.0.1:" +
+                               std::to_string(servers.back()->port()))
+                    .ok());
+  }
+  auto id = coordinator.Submit(MakeQuery(2, 5));
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+
+  // Poll rather than Wait, so a ping-pong fails on the bound instead
+  // of hanging the test.
+  constexpr uint64_t kMaxSubmits = 10;
+  std::string job_state;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (state->Submits() <= kMaxSubmits &&
+         std::chrono::steady_clock::now() < deadline) {
+    job_state = coordinator.Jobs().front().state;
+    if (job_state == "done" || job_state == "failed") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const uint64_t submits = state->Submits();
+  coordinator.Stop();
+  for (auto& server : servers) server->Stop();
+  ASSERT_LE(submits, kMaxSubmits) << "the chunk was stolen over and over";
+  ASSERT_EQ(job_state, "done") << coordinator.Jobs().front().status.ToString();
+  // The first submit, and one resubmit after the empty yield.
+  EXPECT_EQ(submits, 2u);
+  const CoordJobInfo job = coordinator.Jobs().front();
+  EXPECT_EQ(job.num_plexes, 0u);
+  EXPECT_EQ(job.steals, 0u);  // a yield that covered nothing is no steal
+  ASSERT_EQ(job.outcomes.size(), 1u);
+  EXPECT_EQ(job.outcomes[0].begin, 0u);
+  EXPECT_EQ(job.outcomes[0].end, 1u);
+  EXPECT_FALSE(job.outcomes[0].yielded);
 }
 
 TEST(CoordSession, ServesTheDaemonVerbsOverTheWire) {
