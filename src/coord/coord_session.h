@@ -15,7 +15,10 @@
 //   drain ID          graceful worker leave
 //   workers           the worker roster
 //   metrics [FMT]     the daemon's metrics registry
-//   hello/help/quit   as on a worker (AnswerSessionVerb)
+//   hello/help/quit   as on a worker
+//
+// hello, metrics, help and quit are answered by AnswerSessionVerb, the
+// same helper a worker's ServiceApi uses.
 //
 // The line loop — text/framed parsing, error answers, quit and the
 // hello mode switch — is WireSession's (service/wire_session.h); this

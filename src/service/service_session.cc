@@ -135,14 +135,10 @@ uint64_t ServiceSession::RunScript(std::istream& in) {
   // not depend on whether the script bothered to view results. Jobs
   // still running here are cancelled by the dispatcher destructor, not
   // counted as failures.
-  CountTerminalFailures();
-  return errors();
-}
-
-void ServiceSession::CountTerminalFailures() {
   for (const JobInfo& info : api_->dispatcher().Jobs()) {
     if (info.state == JobState::kFailed) CountFailedJob(info.id);
   }
+  return errors();
 }
 
 void ServiceSession::CancelOutstandingJobs() {

@@ -83,8 +83,6 @@ class ServiceSession : public WireSession {
   /// Counts a terminal job failure carried by the response (each job
   /// id once, wherever it surfaces).
   void CountJobFailures(const Response& response);
-  /// Folds failures of terminal jobs into the error tally (each job once).
-  void CountTerminalFailures();
   /// Counts job `id`'s failure unless it was counted already.
   void CountFailedJob(uint64_t id);
 
