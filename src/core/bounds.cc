@@ -30,11 +30,7 @@ std::vector<int32_t>& LoadSupport(const SeedGraph& sg, const TaskState& state,
 
 uint32_t UbDegree(const SeedGraph& sg, const TaskState& state, uint32_t pivot,
                   uint32_t k) {
-  uint32_t min_deg = sg.deg_vi[pivot];
-  state.p.ForEach([&](std::size_t u) {
-    min_deg = std::min(min_deg, sg.deg_vi[u]);
-  });
-  return min_deg + k;
+  return std::min(state.min_deg_p, sg.deg_vi[pivot]) + k;
 }
 
 uint32_t UbSupport(const SeedGraph& sg, const TaskState& state,
@@ -124,12 +120,7 @@ uint32_t UbSubtask(const SeedGraph& sg, const TaskState& state, uint32_t k,
     }
   });
   const uint32_t ub_support = state.p_size + k_size;
-
-  uint32_t min_deg = UINT32_MAX;
-  state.p.ForEach([&](std::size_t u) {
-    min_deg = std::min(min_deg, sg.deg_vi[u]);
-  });
-  const uint32_t ub_degree = min_deg + k;
+  const uint32_t ub_degree = state.min_deg_p + k;
   return std::min(ub_support, ub_degree);
 }
 

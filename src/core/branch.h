@@ -3,17 +3,35 @@
 // plus Eq (3) upper-bound pruning), the "Ours_P" FaPlexen branching
 // variant (Eq (4)-(6)), and the ablation configurations of Tables 5/6.
 //
-// One engine is constructed per (seed graph, task execution); scratch
-// buffers are reused across the recursion, which never interleaves two
-// computations. The optional per-task timeout implements the straggler
-// decomposition of Section 6: once the deadline passes, pending
-// recursive calls are re-packaged as standalone TaskStates and handed to
-// the spawn callback instead of being executed inline.
+// One engine serves any number of tasks of one seed graph, one at a
+// time; scratch buffers are reused across the recursion, which never
+// interleaves two computations.
+//
+// Filtered on entry: every Branch() call receives a state whose C and X
+// hold only vertices v with P ∪ {v} a k-plex (Alg. 3 Lines 2-3). Run()
+// establishes this once per task with the full filter; after that each
+// move keeps it with a delta. An exclude child trades one vertex that
+// already passed between C and X, so it needs nothing. An include child
+// of vp can only lose members of C ∪ X outside N(vp), and only to a
+// member of P ∖ N(vp) that became saturated or to the budget check
+// (PrepareInclude).
+//
+// Frames: the exclude child reuses its parent's state in place; the
+// include child (and FaPlexen's running prefix) is copied into a frame
+// indexed by include depth. The engine owns the frames and reuses them
+// across branches and tasks, so once warm a branch allocates nothing.
+//
+// The optional per-task timeout implements the straggler decomposition
+// of Section 6: once the deadline passes, pending recursive calls are
+// handed to the spawn callback instead of being executed inline. A
+// spawn moves the pending state out, frame or not; a frame whose
+// buffers went to a spawned task is refilled by the next copy into it.
 
 #ifndef KPLEX_CORE_BRANCH_H_
 #define KPLEX_CORE_BRANCH_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -58,20 +76,28 @@ class BranchEngine {
   /// True when the engine stopped because options.max_results was hit.
   bool stopped_early() const { return stopped_early_; }
 
-  /// Runs Algorithm 3 on `state` (consumed).
+  /// Runs Algorithm 3 on `state` (consumed): filters its C and X for P,
+  /// then branches.
   void Run(TaskState& state);
 
  private:
-  void Branch(TaskState& state);
-  void BranchBinary(TaskState& state, uint32_t pivot, bool include_allowed);
-  void BranchFaplexen(TaskState& state, uint32_t pivot);
-  void Dispatch(TaskState& state);
+  // `depth` is the first frame this call and its descendants may use.
+  void Branch(TaskState& state, uint32_t depth);
+  void BranchBinary(TaskState& state, uint32_t depth, uint32_t pivot,
+                    bool include_allowed);
+  void BranchFaplexen(TaskState& state, uint32_t depth, uint32_t pivot);
+  void Dispatch(TaskState& state, uint32_t depth);
 
-  /// Moves vp from C into P and applies the R2 matrix row of vp to C and
-  /// X (Theorems 5.14/5.15 via one AND, fringe bits unaffected).
+  /// The reusable state at `depth`, created on first use.
+  TaskState& Frame(uint32_t depth);
+
+  /// Moves vp (already reset in C) into P, applies the R2 matrix row of
+  /// vp to C and X (Theorems 5.14/5.15 via one AND, fringe bits
+  /// unaffected), and re-filters C and X for the grown P by delta.
   void PrepareInclude(TaskState& state, uint32_t vp);
 
-  /// In-place saturation + budget filter of `set` w.r.t. state.p.
+  /// In-place saturation + budget filter of `set` w.r.t. state.p: the
+  /// full filter, applied only at a task root.
   void FilterSet(const TaskState& state, const DynamicBitset& saturated,
                  DynamicBitset& set);
 
@@ -98,8 +124,18 @@ class BranchEngine {
   DynamicBitset saturated_;
   DynamicBitset pc_;
   DynamicBitset sat_pc_;
+  /// FaPlexen's non-neighbor lists, one slice per live BranchFaplexen
+  /// call (stack discipline; slices are addressed by offset).
   std::vector<uint32_t> ws_;
   std::vector<VertexId> emit_;
+  /// Include frames by depth. A deque keeps references to shallower
+  /// frames valid while deeper ones are created.
+  std::deque<TaskState> frames_;
+#ifndef NDEBUG
+  // The full filter's answer, to check each delta against.
+  DynamicBitset check_c_;
+  DynamicBitset check_x_;
+#endif
 
   int64_t deadline_nanos_ = 0;
   SpawnFn spawn_;

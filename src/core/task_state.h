@@ -1,7 +1,10 @@
 // Mutable state of one branch-and-bound node: the triple <P, C, X> plus
-// the incrementally maintained |N(v) ∩ P| counts. States are copied when
-// a branch forks (the include side) and when the parallel timeout rule
-// re-packages a pending recursive call as a standalone task.
+// the incrementally maintained |N(v) ∩ P| counts and min_{u∈P} deg_{V_i}(u).
+// A sub-task starts as a standalone state. Inside BranchEngine the
+// exclude side of a branch reuses its parent's state in place, and the
+// include side is copied into a frame the engine owns and reuses, so a
+// branch allocates nothing. The only standalone state made mid-search
+// is a pending call the parallel timeout rule re-packages as a task.
 
 #ifndef KPLEX_CORE_TASK_STATE_H_
 #define KPLEX_CORE_TASK_STATE_H_
@@ -21,6 +24,8 @@ struct TaskState {
   /// dp[v] = |N(v) ∩ P| for every local vertex v.
   std::vector<uint16_t> dp;
   uint32_t p_size = 0;
+  /// min_{u∈P} deg_{V_i}(u); UINT32_MAX while P is empty.
+  uint32_t min_deg_p = UINT32_MAX;
 
   /// Creates the empty state sized for `sg`.
   static TaskState MakeEmpty(const SeedGraph& sg) {
@@ -36,6 +41,7 @@ struct TaskState {
   void AddToP(const SeedGraph& sg, uint32_t v) {
     p.Set(v);
     ++p_size;
+    if (sg.deg_vi[v] < min_deg_p) min_deg_p = sg.deg_vi[v];
     sg.adj.Row(v).ForEach([&](std::size_t u) { ++dp[u]; });
   }
 

@@ -9,10 +9,16 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bk_naive.h"
+#include "baselines/listplex.h"
+#include "bench_common/dataset_registry.h"
 #include "core/enumerator.h"
+#include "core/reduction.h"
+#include "core/seed_graph.h"
+#include "core/subtask.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
+#include "util/timer.h"
 
 namespace kplex {
 namespace {
@@ -151,6 +157,74 @@ TEST(BranchEdgeCases, GraphSmallerThanQYieldsNothingQuickly) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run->num_plexes, 0u);
   EXPECT_EQ(run->counters.branch_calls, 0u);  // core reduction kills all
+}
+
+// Runs `graph` the way the sequential enumerator does, except that each seed
+// graph's engine has a deadline that has already passed: every pending
+// call it reaches is spawned. The spawned states go back through the
+// same engine for a few rounds, so its frames are refilled after their
+// buffers moved into spawned states, and FaPlexen branching spawns from
+// its nested frames. A fresh engine then runs what is left.
+void RunThroughSpawns(const Graph& graph, const EnumOptions& options,
+                      ResultSink& sink, AlgoCounters& counters) {
+  PreparedReduction prepared = PrepareReduction(graph, options, counters);
+  const uint32_t seeds = prepared.core.graph.NumVertices();
+  for (uint32_t idx = 0; idx < seeds; ++idx) {
+    auto sg = BuildSeedGraph(prepared.core.graph, prepared.core.to_original,
+                             prepared.ordering, prepared.ordering.order[idx],
+                             options, &counters);
+    if (!sg.has_value()) continue;
+    std::vector<TaskState> spawned;
+    BranchEngine spawner(*sg, options, sink, counters);
+    spawner.SetTaskTimeout(WallTimer::NowNanos() - 1, [&](TaskState&& st) {
+      spawned.push_back(std::move(st));
+    });
+    EnumerateSubtasks(*sg, options, counters,
+                      [&](TaskState&& task) { spawner.Run(task); });
+    for (int round = 0; round < 3; ++round) {
+      std::vector<TaskState> pending;
+      pending.swap(spawned);
+      for (TaskState& st : pending) spawner.Run(st);
+    }
+    BranchEngine finisher(*sg, options, sink, counters);
+    for (TaskState& st : spawned) finisher.Run(st);
+  }
+}
+
+TEST(BranchTimeoutSpawn, SpawnedStatesReproduceThePlainRun) {
+  auto karate = LoadDataset("karate");
+  ASSERT_TRUE(karate.ok());
+  const Graph random = GenerateErdosRenyi(40, 0.3, 93);
+  const std::pair<const char*, EnumOptions> variants[] = {
+      {"Ours", EnumOptions::Ours(3, 5)},
+      {"OursP", EnumOptions::OursP(3, 5)},
+      {"ListPlex", ListPlexOptions(3, 5)},
+      {"OursFpUb", EnumOptions::OursFpUb(2, 4)},
+  };
+  const Graph* graphs[] = {&*karate, &random};
+  for (const Graph* graph : graphs) {
+    for (const auto& [name, options] : variants) {
+      SCOPED_TRACE(std::string(name) + " n=" +
+                   std::to_string(graph->NumVertices()));
+      CollectingSink plain_sink;
+      auto plain = EnumerateMaximalKPlexes(*graph, options, plain_sink);
+      ASSERT_TRUE(plain.ok());
+
+      CollectingSink sink;
+      AlgoCounters counters;
+      RunThroughSpawns(*graph, options, sink, counters);
+      EXPECT_EQ(sink.SortedResults(), plain_sink.SortedResults());
+      const AlgoCounters& want = plain->counters;
+      EXPECT_EQ(counters.seed_graphs, want.seed_graphs);
+      EXPECT_EQ(counters.subtasks, want.subtasks);
+      EXPECT_EQ(counters.subtasks_pruned_r1, want.subtasks_pruned_r1);
+      EXPECT_EQ(counters.branch_calls, want.branch_calls);
+      EXPECT_EQ(counters.ub_prunes, want.ub_prunes);
+      EXPECT_EQ(counters.kplex_shortcuts, want.kplex_shortcuts);
+      EXPECT_EQ(counters.outputs, want.outputs);
+      EXPECT_GT(counters.timeout_spawns, 0u);
+    }
+  }
 }
 
 }  // namespace
